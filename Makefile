@@ -8,11 +8,13 @@ build:
 test:
 	dune runtest
 
-# Everything CI runs: a clean build, the test suite, and a guard against
-# accidentally committing the dune build tree.
+# Everything CI runs: a clean build, the test suite, every example
+# program (each exits non-zero on an unverified result), and a guard
+# against accidentally committing the dune build tree.
 check:
 	dune build @all
 	dune runtest
+	$(MAKE) examples
 	$(MAKE) sva-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke

@@ -309,20 +309,19 @@ let portability_cmd =
 
 let run_cmd =
   let app_arg =
+    let kinds = Rvi_harness.Jobs.all in
     Arg.(
       required
       & opt
           (some
              (enum
-                [
-                  ("adpcm", `Adpcm);
-                  ("idea", `Idea);
-                  ("vecadd", `Vecadd);
-                  ("fir", `Fir);
-                ]))
+                (List.map (fun k -> (Rvi_harness.Jobs.app_name k, k)) kinds)))
           None
       & info [ "app" ] ~docv:"NAME"
-          ~doc:"Application: adpcm, idea, vecadd or fir.")
+          ~doc:
+            ("Application: "
+            ^ String.concat ", " (List.map Rvi_harness.Jobs.app_name kinds)
+            ^ "."))
   in
   let version =
     Arg.(
@@ -362,7 +361,21 @@ let run_cmd =
              lists, default) or iommu-sva (shared virtual addressing through \
              an L1+L2 TLB and a page-table walker).")
   in
-  let run cfg csv app version size trace_out trace_format inject watchdog_ms
+  (* Sizes are aligned to the application's granule; below its minimum
+     there is nothing to run, which is a usage error. *)
+  let app_size =
+    let check app size =
+      let min_bytes = (Rvi_harness.Jobs.spec app).Rvi_harness.Jobs.min_bytes in
+      if size < min_bytes then
+        `Error
+          ( true,
+            Printf.sprintf "--size %d is below the %s minimum of %d bytes" size
+              (Rvi_harness.Jobs.app_name app) min_bytes )
+      else `Ok (app, size)
+    in
+    Term.(ret (const check $ app_arg $ size))
+  in
+  let run cfg csv (app, size) version trace_out trace_format inject watchdog_ms
       translation =
     let cfg = { cfg with Rvi_harness.Config.translation } in
     let cfg =
@@ -396,47 +409,15 @@ let run_cmd =
             Rvi_sim.Simtime.of_us (int_of_float (ms *. 1000.));
         }
     in
+    let input =
+      Rvi_harness.Jobs.generate app ~seed:cfg.Rvi_harness.Config.seed
+        ~bytes:size
+    in
     let row =
-      match app with
-      | `Adpcm -> (
-        let input =
-          Rvi_harness.Workload.adpcm_stream ~seed:cfg.Rvi_harness.Config.seed
-            ~bytes:size
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.adpcm_sw cfg ~input
-        | `Vim -> Rvi_harness.Runner.adpcm_vim cfg ~input
-        | `Normal -> Rvi_harness.Runner.adpcm_normal cfg ~input)
-      | `Idea -> (
-        let size = size - (size mod 8) in
-        let key = Rvi_harness.Workload.idea_key ~seed:cfg.Rvi_harness.Config.seed in
-        let input =
-          Rvi_harness.Workload.idea_plaintext ~seed:cfg.Rvi_harness.Config.seed
-            ~bytes:size
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.idea_sw cfg ~key ~input
-        | `Vim -> Rvi_harness.Runner.idea_vim cfg ~key ~input
-        | `Normal -> Rvi_harness.Runner.idea_normal cfg ~key ~input)
-      | `Fir -> (
-        let size = size - (size mod 2) in
-        let coeffs = Rvi_harness.Workload.fir_coeffs ~taps:16 in
-        let input =
-          Rvi_harness.Workload.fir_signal ~seed:cfg.Rvi_harness.Config.seed
-            ~bytes:size
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.fir_sw cfg ~coeffs ~shift:12 ~input
-        | `Vim -> Rvi_harness.Runner.fir_vim cfg ~coeffs ~shift:12 ~input
-        | `Normal -> Rvi_harness.Runner.fir_normal cfg ~coeffs ~shift:12 ~input)
-      | `Vecadd -> (
-        let n = size / 8 in
-        let a, b =
-          Rvi_harness.Workload.vectors ~seed:cfg.Rvi_harness.Config.seed ~n
-        in
-        match version with
-        | `Sw -> Rvi_harness.Runner.vecadd_sw cfg ~a ~b
-        | `Vim | `Normal -> Rvi_harness.Runner.vecadd_vim cfg ~a ~b)
+      match version with
+      | `Sw -> Rvi_harness.Runner.run_sw cfg input
+      | `Vim -> Rvi_harness.Runner.run_virtual cfg input
+      | `Normal -> Rvi_harness.Runner.run_normal cfg input
     in
     Rvi_harness.Report.print_table ppf [ row ];
     emit ~csv [ row ];
@@ -475,7 +456,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one application/version/size point.")
     Term.(
-      const run $ config_term $ csv $ app_arg $ version $ size $ trace_out
+      const run $ config_term $ csv $ app_size $ version $ trace_out
       $ trace_format $ inject $ watchdog_ms $ translation)
 
 let ext_fir_cmd =
@@ -511,7 +492,7 @@ let multiprog_cmd =
       & info [ "jobs-per-app" ] ~docv:"N" ~doc:"Jobs per application kind.")
   in
   let run cfg jobs_per_app =
-    ignore (Rvi_harness.Experiments.multiprogramming ~jobs_per_app ppf cfg)
+    ignore (Rvi_svc.Multiprog.experiment ~jobs_per_app ppf cfg)
   in
   Cmd.v
     (Cmd.info "multiprog"
@@ -1110,7 +1091,10 @@ let serve_cmd =
       $ translation $ quantum $ bytes $ csv_out $ json_out $ gate $ verify_det)
 
 let all_cmd =
-  let run cfg jobs = Rvi_harness.Experiments.all ~jobs ppf cfg in
+  let run cfg jobs =
+    Rvi_harness.Experiments.all ~jobs ppf cfg;
+    ignore (Rvi_svc.Multiprog.experiment ppf cfg)
+  in
   Cmd.v
     (Cmd.info "all" ~doc:"Every figure, claim and ablation in sequence.")
     Term.(const run $ config_term $ jobs)

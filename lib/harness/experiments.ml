@@ -377,8 +377,7 @@ let ablation_chunked_normal ppf cfg =
     in
     let base =
       {
-        (Runner.run_sw cfg ~app:"idea" ~input_bytes:n ~cycles:0
-           ~work:(fun () -> true))
+        (Runner.run_sw cfg (Jobs.ecb ~key input))
         with
         Report.version = "CHUNKED";
         total = Simtime.zero;
@@ -970,51 +969,26 @@ let ext_oracle ppf cfg =
     bts
   in
   let run ?policy ?record () =
-    let engine = Rvi_sim.Engine.create () in
-    let cost =
-      Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-    in
-    let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
-    let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
-    let port = Rvi_core.Cp_port.create () in
-    let imu =
-      Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
-        ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
-        ()
-    in
     let position = ref 0 in
     let collected = ref [] in
-    Rvi_core.Imu.set_trace imu
+    let policy =
+      match policy with
+      | Some make -> fun () -> make ~position:(fun () -> !position)
+      | None -> Rvi_core.Policy.fifo
+    in
+    let p =
+      Platform.create ~app_name:"oracle" ~sdram_bytes:(1024 * 1024)
+        { cfg with Config.policy }
+        ~bitstream:Calibration.vecadd_bitstream
+        ~make:Rvi_coproc.Vecadd.Virtual.create
+    in
+    let kernel = p.Platform.kernel and api = p.Platform.api in
+    Rvi_core.Imu.set_trace p.Platform.imu
       (Some
          (fun e ->
            incr position;
            if record = Some true then
              collected := (e.Rvi_core.Imu.obj_id, e.Rvi_core.Imu.vpn) :: !collected));
-    let vim_cfg =
-      {
-        (Config.vim_config cfg) with
-        Rvi_core.Vim.policy =
-          (match policy with
-          | Some make -> make ~position:(fun () -> !position)
-          | None -> Rvi_core.Policy.fifo ());
-      }
-    in
-    let clock =
-      Clock.create engine ~name:"pld" ~freq_hz:Calibration.adpcm_clock_hz
-    in
-    let vim =
-      Rvi_core.Vim.create ~kernel ~dpram ~imu ~ahb:cfg.Config.device.Device.ahb
-        ~clocks:[ clock ] vim_cfg
-    in
-    let pld = Rvi_fpga.Pld.create cfg.Config.device in
-    let api = Rvi_core.Api.install ~kernel ~vim ~pld in
-    let vport, coproc = Rvi_coproc.Vecadd.Virtual.create port in
-    Clock.add clock (Rvi_core.Imu.component imu);
-    Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Clock.add clock coproc.Rvi_coproc.Coproc.component;
-    let sched = Kernel.sched kernel in
-    ignore (Rvi_os.Sched.spawn sched ~name:"oracle");
-    ignore (Rvi_os.Sched.schedule sched);
     let buf_a = Uspace.of_bytes kernel (to_bytes a) in
     let buf_b = Uspace.of_bytes kernel (to_bytes b) in
     let buf_c = Uspace.alloc kernel (4 * n) in
@@ -1034,7 +1008,7 @@ let ext_oracle ppf cfg =
       Bytes.equal (Uspace.read kernel buf_c)
         (to_bytes (Rvi_coproc.Vecadd.reference ~a ~b))
     in
-    ( Rvi_sim.Stats.get (Rvi_core.Vim.stats vim) "faults",
+    ( Rvi_sim.Stats.get (Rvi_core.Vim.stats p.Platform.vim) "faults",
       verified,
       Array.of_list (List.rev !collected) )
   in
@@ -1107,32 +1081,6 @@ let sensitivity ?jobs ppf cfg =
     "(the orderings SW < VIM and VIM < NORMAL hold across the whole range)@.";
   rows
 
-let multiprogramming ?(jobs_per_app = 4) ppf cfg =
-  let jobs = Jobs.mixed_batch ~seed:cfg.Config.seed ~jobs_per_app in
-  let results =
-    List.map
-      (fun d -> (Jobs.discipline_name d, Jobs.run cfg ~jobs d))
-      [ Jobs.Fcfs; Jobs.Grouped ]
-  in
-  Format.fprintf ppf
-    "@.== Extension: multiprogramming the lattice (%d mixed jobs under \
-     FPGA_LOAD's exclusive lock) ==@."
-    (List.length jobs);
-  Format.fprintf ppf "%-10s %10s %12s %14s %10s@." "dispatch" "makespan"
-    "reconfigs" "config time" "verified";
-  List.iter
-    (fun (name, (r : Jobs.result)) ->
-      Format.fprintf ppf "%-10s %8.2fms %12d %12.2fms %10b@." name
-        (Simtime.to_ms r.Jobs.makespan)
-        r.Jobs.reconfigurations
-        (Simtime.to_ms r.Jobs.configuration_time)
-        r.Jobs.all_verified)
-    results;
-  Format.fprintf ppf
-    "(grouping jobs by bit-stream amortises the lattice's reconfiguration \
-     cost — the scheduling concern of the related work the paper cites)@.";
-  results
-
 let all ?jobs ppf cfg =
   ignore (fig7 ppf ());
   ignore (fig7 ~pipelined:true ppf ());
@@ -1153,7 +1101,6 @@ let all ?jobs ppf cfg =
   ignore (ext_fir ?jobs ppf cfg);
   ignore (miss_curve ppf cfg);
   ignore (ext_cbc ppf cfg);
-  ignore (multiprogramming ppf cfg);
   ignore (sweep_page_size ppf cfg);
   ignore (sweep_memory_size ppf cfg);
   ignore (ext_dual ppf cfg);

@@ -178,15 +178,6 @@ val sensitivity :
 (** Robustness of the conclusions to the least-certain calibration
     constant (AHB cycles per uncached word), swept across a 4x range. *)
 
-val multiprogramming :
-  ?jobs_per_app:int ->
-  Format.formatter ->
-  Config.t ->
-  (string * Jobs.result) list
-(** Lattice scheduling: a mixed batch of adpcm/IDEA/FIR jobs dispatched
-    first-come-first-served vs grouped by bit-stream, quantifying
-    reconfiguration thrash under the exclusive lock of [FPGA_LOAD]. *)
-
 val all : ?jobs:int -> Format.formatter -> Config.t -> unit
 (** Runs everything above in order, forwarding [jobs] to every sweep
     that shards over domains. *)

@@ -45,32 +45,13 @@ type summary = {
    fit the eight-page dual-port memory: the runs page, which exercises the
    copy, TLB-refill and writeback paths the injector targets. *)
 
-type workload =
-  | W_adpcm of Bytes.t
-  | W_idea of { key : int array; input : Bytes.t }
-  | W_fir of { coeffs : int array; shift : int; input : Bytes.t }
-  | W_vecadd of { a : int array; b : int array }
+type workload = Jobs.input
 
 let workloads ~seed =
-  [|
-    ("adpcm", W_adpcm (Workload.adpcm_stream ~seed ~bytes:4096));
-    ( "idea",
-      W_idea
-        {
-          key = Workload.idea_key ~seed;
-          input = Workload.idea_plaintext ~seed ~bytes:8192;
-        } );
-    ( "fir",
-      W_fir
-        {
-          coeffs = Workload.fir_coeffs ~taps:16;
-          shift = 12;
-          input = Workload.fir_signal ~seed ~bytes:8192;
-        } );
-    ( "vecadd",
-      let a, b = Workload.vectors ~seed ~n:1536 in
-      W_vecadd { a; b } );
-  |]
+  Array.of_list
+    (List.map
+       (fun (kind, bytes) -> (Jobs.app_name kind, Jobs.generate kind ~seed ~bytes))
+       [ (Jobs.Adpcm, 4096); (Jobs.Idea, 8192); (Jobs.Fir, 8192); (Jobs.Vecadd, 12288) ])
 
 (* A hang only terminates through the watchdog, so campaigns want one
    short enough to keep hung runs cheap while staying far above any gap a
@@ -87,33 +68,15 @@ let platform_pools : Platform.Pool.t Domain.DLS.key =
   Domain.DLS.new_key Platform.Pool.create
 
 (* Build one named application workload with roughly [bytes] of input
-   (rounded to the application's natural granule, with a floor that keeps
-   the working set larger than a couple of dual-port pages). The chaos
+   (aligned to the application's granule, with a floor that keeps the
+   working set larger than a couple of dual-port pages). The chaos
    harness uses this to vary input size as a scenario dimension. *)
 let workload_of ~seed ~bytes name =
-  match name with
-  | "adpcm" -> (name, W_adpcm (Workload.adpcm_stream ~seed ~bytes:(max 512 bytes)))
-  | "idea" ->
-    let bytes = max 512 (bytes land lnot 7) in
-    ( name,
-      W_idea
-        { key = Workload.idea_key ~seed; input = Workload.idea_plaintext ~seed ~bytes } )
-  | "fir" ->
-    let bytes = max 512 (bytes land lnot 1) in
-    ( name,
-      W_fir
-        {
-          coeffs = Workload.fir_coeffs ~taps:16;
-          shift = 12;
-          input = Workload.fir_signal ~seed ~bytes;
-        } )
-  | "vecadd" ->
-    let n = max 64 (bytes / 8) in
-    let a, b = Workload.vectors ~seed ~n in
-    (name, W_vecadd { a; b })
-  | _ -> invalid_arg (Printf.sprintf "Faults.workload_of: unknown app %S" name)
+  match Jobs.of_name name with
+  | Some kind -> (name, Jobs.generate kind ~seed ~bytes:(max 512 bytes))
+  | None -> invalid_arg (Printf.sprintf "Faults.workload_of: unknown app %S" name)
 
-let app_names = [ "adpcm"; "idea"; "fir"; "vecadd" ]
+let app_names = List.map Jobs.app_name Jobs.all
 
 let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ~spec
     ~recovery ~watchdog ~exec_retries ~seed (name, w) =
@@ -136,13 +99,7 @@ let run_one ?trace ?pool ?base ?(events = []) ?inspect ?translation ~spec
   in
   let row =
     try
-      Ok
-        (match w with
-        | W_adpcm input -> Runner.adpcm_vim ?pool ?inspect cfg ~input
-        | W_idea { key; input } -> Runner.idea_vim ?pool ?inspect cfg ~key ~input
-        | W_fir { coeffs; shift; input } ->
-          Runner.fir_vim ?pool ?inspect cfg ~coeffs ~shift ~input
-        | W_vecadd { a; b } -> Runner.vecadd_vim ?pool ?inspect cfg ~a ~b)
+      Ok (Runner.run_virtual ?pool ?inspect cfg w)
     with e -> Error (Printexc.to_string e)
   in
   let outcome, total_ms =

@@ -47,7 +47,7 @@ val default_watchdog : Rvi_sim.Simtime.t
     interactive default while staying above the largest healthy progress
     gap of the campaign workloads. *)
 
-type workload
+type workload = Jobs.input
 (** One prepared application input (see {!workloads}). *)
 
 val workloads : seed:int -> (string * workload) array

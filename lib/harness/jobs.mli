@@ -1,44 +1,100 @@
-(** Multiprogramming the reconfigurable lattice.
+(** The application registry.
 
-    [FPGA_LOAD] "ensures the exclusive use of the resource" (§3.1), which
-    makes the lattice a scheduled resource as soon as several applications
-    want coprocessors — the concern of the related work the paper cites
-    (Walder & Platzner; Dales). This module models that workload: a batch
-    of jobs from different applications, each needing its own bit-stream,
-    executed on one device under a dispatch discipline.
+    The paper's OS layer gives every application the same three calls:
+    [FPGA_LOAD] its bit-stream, [FPGA_MAP_OBJECT] its objects,
+    [FPGA_EXECUTE] with its parameters. This module is the one place that
+    says, for each coprocessor application, what those are: the
+    bit-stream and the virtual and normal coprocessor constructors
+    ({!spec}), the input and its seeded generator ({!input},
+    {!generate}), the objects and parameters ({!objects}, {!params}), and
+    the software reference the output is verified against ({!reference}).
+    The runner, the fault campaigns, the multi-tenant service and the CLI
+    all read their recipes from here. *)
 
-    Because the Excalibur reconfigures in tens of milliseconds, the
-    discipline matters: first-come-first-served over an interleaved
-    arrival order thrashes the configuration port, while batching jobs by
-    bit-stream amortises it. The experiment quantifies exactly that
-    trade-off. *)
+type app_kind = Adpcm | Idea | Fir | Vecadd
 
-type app_kind = Adpcm | Idea | Fir
+val all : app_kind list
+(** Every application, in campaign rotation order. *)
+
+val served : app_kind list
+(** The applications the multi-tenant service runs a station for: a
+    prefix of {!all}, so {!index} also indexes the service's stations. *)
+
+val index : app_kind -> int
+(** Dense position in {!all}. *)
 
 val app_name : app_kind -> string
+(** ["adpcm"], ["idea"], ["fir"] or ["vecadd"]. *)
 
-type job = { kind : app_kind; seed : int; input_bytes : int }
+val of_name : string -> app_kind option
 
-type discipline =
-  | Fcfs  (** run jobs in arrival order, reconfiguring whenever needed *)
-  | Grouped  (** stable-sort by bit-stream first (batching dispatcher) *)
-
-val discipline_name : discipline -> string
-
-type result = {
-  jobs_done : int;
-  all_verified : bool;
-  makespan : Rvi_sim.Simtime.t;  (** submission of first to completion of last *)
-  reconfigurations : int;
-  configuration_time : Rvi_sim.Simtime.t;  (** total time spent reconfiguring *)
+type spec = {
+  label : string;  (** application column of a {!Report.row} *)
+  bitstream : Rvi_fpga.Bitstream.t;
+      (** clocks the normal coprocessor too: IMU frequency and divide *)
+  make_virtual :
+    Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t;
+  make_normal : Rvi_coproc.Dport.t -> Rvi_coproc.Coproc.t;
+  granule : int;  (** input sizes are multiples of this *)
+  min_bytes : int;  (** smallest input the coprocessor accepts *)
+  pad : bool;
+      (** {!align} rounds up to the granule (IDEA pads a partial block)
+          rather than down *)
 }
 
-val run : Config.t -> jobs:job list -> discipline -> result
-(** Builds one platform (kernel, PLD, dual-port RAM) with a station per
-    application kind — its own IMU, clock domain, VIM on a dedicated
-    interrupt line — and dispatches the batch. Every job's output is
-    verified against its software reference. *)
+val spec : app_kind -> spec
 
-val mixed_batch : seed:int -> jobs_per_app:int -> job list
-(** The standard experiment workload: interleaved adpcm (4 KB), IDEA
-    (4 KB) and FIR (8 KB) jobs. *)
+val align : app_kind -> int -> int
+(** Rounds a size to the kind's granule and raises it to its minimum. *)
+
+(** One prepared application input. *)
+type input =
+  | Adpcm_in of Bytes.t  (** IMA ADPCM stream *)
+  | Idea_in of {
+      mode : Rvi_coproc.Idea_coproc.mode;
+      key : int array;
+      iv : int array;  (** ignored by the ECB modes *)
+      data : Bytes.t;
+    }
+  | Fir_in of { coeffs : int array; shift : int; data : Bytes.t }
+  | Vecadd_in of { a : int array; b : int array }
+
+val kind_of : input -> app_kind
+
+val ecb : ?decrypt:bool -> key:int array -> Bytes.t -> input
+(** IDEA in ECB mode (encryption by default). *)
+
+val generate : app_kind -> seed:int -> bytes:int -> input
+(** The seeded workload of the kind, sized [align kind bytes]: ADPCM
+    streams, IDEA-encrypted random blocks, a 16-tap FIR over a noisy
+    signal, or two random vectors. *)
+
+val input_bytes : input -> int
+
+type obj = {
+  id : int;
+  dir : Rvi_core.Mapped_object.direction;
+  stream : bool;
+  init : Bytes.t option;  (** initial contents for In/Inout objects *)
+  size : int;
+}
+(** One object as [FPGA_MAP_OBJECT] declares it. *)
+
+val objects : input -> obj list
+
+val params : input -> int list
+(** The [FPGA_EXECUTE] parameter words. *)
+
+val reference : input -> (int * Bytes.t) list
+(** The software reference: expected contents per output object. *)
+
+val verify : (int * Bytes.t) list -> (int -> Bytes.t) -> bool
+(** [verify expected read] holds when every output object read back
+    through [read] equals its {!reference} contents. *)
+
+val sw_cycles : input -> int
+(** CPU cycles of the pure-software implementation. *)
+
+val alloc : Rvi_os.Kernel.t -> obj list -> (obj * Rvi_os.Uspace.buf) list
+(** Allocates one user buffer per object, in order, and writes the
+    initial contents. *)

@@ -2,6 +2,15 @@ module Clock = Rvi_sim.Clock
 module Kernel = Rvi_os.Kernel
 module Device = Rvi_fpga.Device
 
+type station = {
+  port : Rvi_core.Cp_port.t;
+  imu : Rvi_core.Imu.t;
+  clock : Rvi_sim.Clock.t;
+  vim : Rvi_core.Vim.t;
+  vport : Rvi_coproc.Vport.t;
+  coproc : Rvi_coproc.Coproc.t;
+}
+
 type t = {
   engine : Rvi_sim.Engine.t;
   kernel : Rvi_os.Kernel.t;
@@ -17,49 +26,42 @@ type t = {
   proc : Rvi_os.Proc.t;
 }
 
-let create ?(app_name = "app") ?(sdram_bytes = 4 * 1024 * 1024) (cfg : Config.t)
-    ~bitstream ~make =
-  let engine = Rvi_sim.Engine.create () in
-  let cost =
-    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
-  in
-  let kernel = Kernel.create ~engine ~cost ~sdram_bytes () in
-  (match cfg.Config.trace with
-  | Some _ as tr -> Kernel.set_trace kernel tr
-  | None -> ());
-  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
-  let pld = Rvi_fpga.Pld.create cfg.Config.device in
+(* The per-run bindings of the shared hardware: the trace sink, and one
+   injector driving every hardware boundary so a single seed reproduces
+   the whole fault schedule, its injections traced like any other
+   event. Stations attach the same injector to their IMU. *)
+let attach (cfg : Config.t) ~kernel ~dpram =
+  Kernel.set_trace kernel cfg.Config.trace;
+  Rvi_mem.Dpram.set_injector dpram cfg.Config.injector;
+  Rvi_os.Irq.set_injector (Kernel.irq kernel) cfg.Config.injector;
+  match (cfg.Config.injector, cfg.Config.trace) with
+  | Some inj, Some tr ->
+    Rvi_inject.Injector.set_observer inj
+      (Some
+         (fun k ->
+           Rvi_obs.Trace.emit tr ~at:(Kernel.now kernel)
+             (Rvi_obs.Trace.Inject { fault = Rvi_inject.Fault.name k })))
+  | _ -> ()
+
+let station (cfg : Config.t) ~kernel ~dpram ~irq_line ~clock_name
+    ~bitstream make =
   let port = Rvi_core.Cp_port.create () in
   let imu =
     Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
-      ~raise_irq:(fun () -> Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
+      ~raise_irq:(fun () ->
+        Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:irq_line)
       ()
   in
+  Rvi_core.Imu.set_injector imu cfg.Config.injector;
   let clock =
-    Clock.create engine ~name:"pld"
+    Clock.create (Kernel.engine kernel) ~name:clock_name
       ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
   in
   let vim =
-    Rvi_core.Vim.create ~kernel ~dpram ~imu ~ahb:cfg.Config.device.Device.ahb
-      ~clocks:[ clock ] (Config.vim_config cfg)
+    Rvi_core.Vim.create ~irq_line ~kernel ~dpram ~imu
+      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
+      (Config.vim_config cfg)
   in
-  (match cfg.Config.injector with
-  | Some inj ->
-    (* One injector drives every hardware boundary of the platform, so a
-       single seed reproduces the whole fault schedule. *)
-    Rvi_mem.Dpram.set_injector dpram (Some inj);
-    Rvi_os.Irq.set_injector (Kernel.irq kernel) (Some inj);
-    Rvi_core.Imu.set_injector imu (Some inj);
-    (match cfg.Config.trace with
-    | Some tr ->
-      Rvi_inject.Injector.set_observer inj
-        (Some
-           (fun k ->
-             Rvi_obs.Trace.emit tr ~at:(Kernel.now kernel)
-               (Rvi_obs.Trace.Inject { fault = Rvi_inject.Fault.name k })))
-    | None -> ())
-  | None -> ());
-  let api = Rvi_core.Api.install ~kernel ~vim ~pld in
   let vport, coproc = make port in
   Rvi_core.Vim.set_abort_hook vim (fun () ->
       Rvi_core.Cp_port.reset port;
@@ -78,10 +80,39 @@ let create ?(app_name = "app") ?(sdram_bytes = 4 * 1024 * 1024) (cfg : Config.t)
     Clock.add clock (Rvi_coproc.Vport.sync_component vport);
     Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
   end;
+  { port; imu; clock; vim; vport; coproc }
+
+let create ?(app_name = "app") ?(sdram_bytes = 4 * 1024 * 1024) (cfg : Config.t)
+    ~bitstream ~make =
+  let engine = Rvi_sim.Engine.create () in
+  let cost =
+    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
+  in
+  let kernel = Kernel.create ~engine ~cost ~sdram_bytes () in
+  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
+  let pld = Rvi_fpga.Pld.create cfg.Config.device in
+  attach cfg ~kernel ~dpram;
+  let (s : station) =
+    station cfg ~kernel ~dpram ~irq_line:0 ~clock_name:"pld" ~bitstream make
+  in
+  let api = Rvi_core.Api.install ~kernel ~vim:s.vim ~pld in
   let sched = Kernel.sched kernel in
   let proc = Rvi_os.Sched.spawn sched ~name:app_name in
   ignore (Rvi_os.Sched.schedule sched);
-  { engine; kernel; dpram; pld; port; imu; clock; vim; api; vport; coproc; proc }
+  {
+    engine;
+    kernel;
+    dpram;
+    pld;
+    port = s.port;
+    imu = s.imu;
+    clock = s.clock;
+    vim = s.vim;
+    api;
+    vport = s.vport;
+    coproc = s.coproc;
+    proc;
+  }
 
 (* In-place re-arm of a pooled platform: scrub every component back to its
    power-on image (timeline rewound to zero, memories zeroed, counters
@@ -110,23 +141,8 @@ let reset t (cfg : Config.t) =
   Rvi_core.Imu.reset t.imu;
   Rvi_core.Vim.reset t.vim (Config.vim_config cfg);
   Rvi_core.Api.reset t.api;
-  (match cfg.Config.trace with
-  | Some _ as tr -> Kernel.set_trace t.kernel tr
-  | None -> ());
-  (match cfg.Config.injector with
-  | Some inj ->
-    Rvi_mem.Dpram.set_injector t.dpram (Some inj);
-    Rvi_os.Irq.set_injector (Kernel.irq t.kernel) (Some inj);
-    Rvi_core.Imu.set_injector t.imu (Some inj);
-    (match cfg.Config.trace with
-    | Some tr ->
-      Rvi_inject.Injector.set_observer inj
-        (Some
-           (fun k ->
-             Rvi_obs.Trace.emit tr ~at:(Kernel.now t.kernel)
-               (Rvi_obs.Trace.Inject { fault = Rvi_inject.Fault.name k })))
-    | None -> ())
-  | None -> ());
+  attach cfg ~kernel:t.kernel ~dpram:t.dpram;
+  Rvi_core.Imu.set_injector t.imu cfg.Config.injector;
   ignore (Rvi_os.Sched.schedule (Kernel.sched t.kernel))
 
 (* A pool of platforms keyed by application name (each application has its

@@ -6,6 +6,46 @@
     what the examples and the runner share; tests use it to poke the
     internals. *)
 
+(** {1 Stations}
+
+    The hardware one bit-stream instantiates: an IMU and a coprocessor
+    behind its virtual port on their own clock domain, with the VIM bound
+    to them on one interrupt line. A platform holds one station; the
+    multi-tenant service holds one per application kind on a shared
+    kernel, PLD and dual-port RAM. *)
+
+type station = {
+  port : Rvi_core.Cp_port.t;
+  imu : Rvi_core.Imu.t;
+  clock : Rvi_sim.Clock.t;
+  vim : Rvi_core.Vim.t;
+  vport : Rvi_coproc.Vport.t;
+  coproc : Rvi_coproc.Coproc.t;
+}
+
+val attach : Config.t -> kernel:Rvi_os.Kernel.t -> dpram:Rvi_mem.Dpram.t -> unit
+(** Binds the configuration's trace sink to the kernel and its injector
+    to the dual-port RAM and the interrupt controller; with both, every
+    injected fault is traced as an [Inject] event. *)
+
+val station :
+  Config.t ->
+  kernel:Rvi_os.Kernel.t ->
+  dpram:Rvi_mem.Dpram.t ->
+  irq_line:int ->
+  clock_name:string ->
+  bitstream:Rvi_fpga.Bitstream.t ->
+  (Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
+  station
+(** Builds one station: the IMU (with the configuration's injector)
+    raising [irq_line], the clock at the bit-stream's IMU
+    frequency, the VIM, and the coprocessor made by the last argument,
+    whose reset the VIM's abort hook drives. Components are registered
+    on the clock in hardware order: IMU, port synchroniser, coprocessor
+    (on the bit-stream's divided clock). *)
+
+(** {1 Platforms} *)
+
 type t = {
   engine : Rvi_sim.Engine.t;
   kernel : Rvi_os.Kernel.t;
@@ -28,8 +68,8 @@ val create :
   bitstream:Rvi_fpga.Bitstream.t ->
   make:(Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
   t
-(** Components are registered on the clock in hardware order: IMU, port
-    synchroniser, coprocessor (on the bit-stream's divided clock). *)
+(** {!attach} plus one {!station} on interrupt line 0, the syscall API
+    and the application process. *)
 
 val reset : t -> Config.t -> unit
 (** Re-arms a platform in place for another run: rewinds the simulation

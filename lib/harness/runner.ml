@@ -7,14 +7,6 @@ module Accounting = Rvi_os.Accounting
 module Uspace = Rvi_os.Uspace
 module Device = Rvi_fpga.Device
 
-type vobject = {
-  id : int;
-  dir : Rvi_core.Mapped_object.direction;
-  stream : bool;
-  init : Bytes.t option;
-  size : int;
-}
-
 let make_kernel (cfg : Config.t) =
   let engine = Engine.create () in
   let cost =
@@ -92,39 +84,27 @@ module Phases = struct
   let totals () = (!setup, !execute, !report)
 end
 
-(* [fallback] is the graceful-degradation path: when the recovery layer
-   gives up on the hardware (transient errors or bad outputs through every
-   execution retry), it produces the reference result per output object;
-   the run then counts as [Degraded] with the fallback's output verified
-   like any other. Execution retries are only attempted when the
-   configuration carries an injector — without one, behaviour is exactly
-   the pre-recovery single-shot execute.
+(* Graceful degradation: when the recovery layer gives up on the
+   hardware (transient errors or bad outputs through every execution
+   retry), the software reference takes over and writes its output per
+   output object; the run then counts as [Degraded] with the fallback's
+   output verified like any other. Execution retries are only attempted
+   when the configuration carries an injector — without one, behaviour
+   is exactly the pre-recovery single-shot execute.
 
    [pool] switches platform acquisition to {!Platform.Pool}: the run
-   borrows (and resets) a platform stored under [app] instead of building
-   one, and returns it on completion. A run that raises leaves the
-   platform out of the pool. *)
-let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
-    ~params ~input_bytes ~verify =
+   borrows (and resets) a platform stored under the application's label
+   instead of building one, and returns it on completion. A run that
+   raises leaves the platform out of the pool. *)
+let run_virtual_on p ~ph0 (cfg : Config.t) ~app (input : Jobs.input) =
   let kernel = p.Platform.kernel in
   let api = p.Platform.api in
   let vim = p.Platform.vim in
   let imu = p.Platform.imu in
   (* Allocate the user buffers and map the objects, as Figure 6 does. *)
-  let bufs =
-    List.map
-      (fun o ->
-        let buf = Uspace.alloc kernel o.size in
-        (match o.init with
-        | Some data ->
-          if Bytes.length data <> o.size then
-            invalid_arg "Runner.run_virtual: init size mismatch";
-          Uspace.write kernel buf data
-        | None -> ());
-        (o, buf))
-      objects
-  in
-  let row = row_base ~app ~version:"VIM" ~input_bytes in
+  let bufs = Jobs.alloc kernel (Jobs.objects input) in
+  let expected = lazy (Jobs.reference input) in
+  let row = row_base ~app ~version:"VIM" ~input_bytes:(Jobs.input_bytes input) in
   let fail msg = { row with Report.outcome = Report.Failed msg } in
   let ( let* ) r f =
     match r with
@@ -137,13 +117,13 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
       in
       fail detail
   in
-  let* () = Rvi_core.Api.fpga_load api bitstream in
+  let* () = Rvi_core.Api.fpga_load api (Jobs.spec (Jobs.kind_of input)).Jobs.bitstream in
   let rec map_all = function
     | [] -> Ok ()
-    | (o, buf) :: rest -> (
+    | ((o : Jobs.obj), buf) :: rest -> (
       match
-        Rvi_core.Api.fpga_map_object api ~id:o.id ~buf ~dir:o.dir
-          ~stream:o.stream ()
+        Rvi_core.Api.fpga_map_object api ~id:o.Jobs.id ~buf ~dir:o.Jobs.dir
+          ~stream:o.Jobs.stream ()
       with
       | Ok () -> map_all rest
       | Error e -> Error e)
@@ -156,9 +136,11 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
   let ph1 = Unix.gettimeofday () in
   Phases.setup := !Phases.setup +. (ph1 -. ph0);
   let t0 = Kernel.now kernel in
-  let read_obj id =
-    let _, buf = List.find (fun (o, _) -> o.id = id) bufs in
-    Uspace.read kernel buf
+  let buf_of id =
+    snd (List.find (fun ((o : Jobs.obj), _) -> o.Jobs.id = id) bufs)
+  in
+  let verify () =
+    Jobs.verify (Lazy.force expected) (fun id -> Uspace.read kernel (buf_of id))
   in
   let emit kind =
     match cfg.Config.trace with
@@ -168,6 +150,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
   let exec_retries =
     if cfg.Config.injector = None then 0 else cfg.Config.exec_retries
   in
+  let params = Jobs.params input in
   (* Transient hardware errors may succeed on a clean re-execution, so
      retry up to the budget; exhaustion degrades to the fallback. A bad
      output with a clean exit (a silent wrong-result fault) is retried the
@@ -179,7 +162,7 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
   let rec attempt n =
     match Rvi_core.Api.fpga_execute api ~params with
     | Ok () ->
-      if verify read_obj then `Done n
+      if verify () then `Done n
       else if n < exec_retries then begin
         emit (Rvi_obs.Trace.Retry { what = "execute"; attempt = n + 1 });
         attempt (n + 1)
@@ -233,38 +216,32 @@ let run_virtual_on p ~ph0 ?fallback (cfg : Config.t) ~app ~bitstream ~objects
       if retries > 0 then
         emit (Rvi_obs.Trace.Recover { what = "execute"; retries });
       fill ~outcome:Report.Measured ~retries ~verified:true
-    | `Degrade (reason, retries) -> (
+    | `Degrade (reason, retries) ->
       emit (Rvi_obs.Trace.Degrade { reason });
-      match fallback with
-      | None -> { (fail reason) with Report.retries }
-      | Some fb ->
-        (* Software reference takes over: write its output into the user
-           buffers and verify it like a hardware result. *)
-        List.iter
-          (fun (id, data) ->
-            let _, buf = List.find (fun (o, _) -> o.id = id) bufs in
-            Uspace.write kernel buf data)
-          (fb ());
-        fill ~outcome:(Report.Degraded reason) ~retries
-          ~verified:(verify read_obj))
+      (* Software reference takes over: write its output into the user
+         buffers and verify it like a hardware result. *)
+      List.iter
+        (fun (id, data) -> Uspace.write kernel (buf_of id) data)
+        (Lazy.force expected);
+      fill ~outcome:(Report.Degraded reason) ~retries ~verified:(verify ())
   in
   Phases.report := !Phases.report +. (Unix.gettimeofday () -. ph2);
   final
 
-let run_virtual ?pool ?inspect ?fallback (cfg : Config.t) ~app ~bitstream
-    ~make ~objects ~params ~input_bytes ~verify =
+let run_virtual ?pool ?inspect (cfg : Config.t) input =
   let ph0 = Unix.gettimeofday () in
+  let spec = Jobs.spec (Jobs.kind_of input) in
+  let app = spec.Jobs.label in
+  let create () =
+    Platform.create ~app_name:app cfg ~bitstream:spec.Jobs.bitstream
+      ~make:spec.Jobs.make_virtual
+  in
   let p =
     match pool with
-    | None -> Platform.create ~app_name:app cfg ~bitstream ~make
-    | Some pool ->
-      Platform.Pool.acquire pool ~key:app cfg ~create:(fun () ->
-          Platform.create ~app_name:app cfg ~bitstream ~make)
+    | None -> create ()
+    | Some pool -> Platform.Pool.acquire pool ~key:app cfg ~create
   in
-  let row =
-    run_virtual_on p ~ph0 ?fallback cfg ~app ~bitstream ~objects ~params
-      ~input_bytes ~verify
-  in
+  let row = run_virtual_on p ~ph0 cfg ~app input in
   (* Post-mortem hook: the chaos harness runs the consistency checker on
      the still-live platform before it goes back to the pool. *)
   (match inspect with Some f -> f p | None -> ());
@@ -273,41 +250,42 @@ let run_virtual ?pool ?inspect ?fallback (cfg : Config.t) ~app ~bitstream
   | None -> ());
   row
 
-let run_normal (cfg : Config.t) ~app ~clock_hz ~coproc_divide ~make ~objects
-    ~params ~input_bytes ~verify =
+let run_normal (cfg : Config.t) input =
+  let spec = Jobs.spec (Jobs.kind_of input) in
+  let app = spec.Jobs.label in
+  let bitstream = spec.Jobs.bitstream in
   let _engine, kernel = make_kernel cfg in
   let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
   let dport = Rvi_coproc.Dport.create ~dpram in
-  let coproc = make dport in
-  let clock = Clock.create (Kernel.engine kernel) ~name:"pld" ~freq_hz:clock_hz in
-  Clock.add clock ~divide:coproc_divide coproc.Rvi_coproc.Coproc.component;
-  ignore (spawn_app kernel app);
-  let bufs =
-    List.map
-      (fun o ->
-        let buf = Uspace.alloc kernel o.size in
-        (match o.init with
-        | Some data -> Uspace.write kernel buf data
-        | None -> ());
-        ( { Rvi_coproc.Normal_driver.region = o.id; buf; dir = o.dir },
-          o ))
-      objects
+  let coproc = spec.Jobs.make_normal dport in
+  let clock =
+    Clock.create (Kernel.engine kernel) ~name:"pld"
+      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
   in
-  let row = row_base ~app ~version:"NORMAL" ~input_bytes in
+  Clock.add clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+    coproc.Rvi_coproc.Coproc.component;
+  ignore (spawn_app kernel app);
+  let regions =
+    List.map
+      (fun ((o : Jobs.obj), buf) ->
+        { Rvi_coproc.Normal_driver.region = o.Jobs.id; buf; dir = o.Jobs.dir })
+      (Jobs.alloc kernel (Jobs.objects input))
+  in
+  let row = row_base ~app ~version:"NORMAL" ~input_bytes:(Jobs.input_bytes input) in
   let t0 = Kernel.now kernel in
   match
     Rvi_coproc.Normal_driver.run ~kernel ~dpram
       ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ] ~dport ~coproc
-      ~regions:(List.map fst bufs) ~params ()
+      ~regions ~params:(Jobs.params input) ()
   with
   | Ok () ->
     let read_obj id =
-      let spec, _ =
-        List.find (fun (s, _) -> s.Rvi_coproc.Normal_driver.region = id) bufs
+      let r =
+        List.find (fun r -> r.Rvi_coproc.Normal_driver.region = id) regions
       in
-      Uspace.read kernel spec.Rvi_coproc.Normal_driver.buf
+      Uspace.read kernel r.Rvi_coproc.Normal_driver.buf
     in
-    let verified = verify read_obj in
+    let verified = Jobs.verify (Jobs.reference input) read_obj in
     let wall = Simtime.sub (Kernel.now kernel) t0 in
     {
       (fill_times row kernel ~wall) with
@@ -317,306 +295,64 @@ let run_normal (cfg : Config.t) ~app ~clock_hz ~coproc_divide ~make ~objects
   | Error (Rvi_coproc.Normal_driver.Exceeds_memory _) ->
     { row with Report.outcome = Report.Exceeds_memory }
   | Error e ->
-    { row with Report.outcome = Report.Failed (Rvi_coproc.Normal_driver.error_to_string e) }
+    {
+      row with
+      Report.outcome = Report.Failed (Rvi_coproc.Normal_driver.error_to_string e);
+    }
 
-let run_sw (cfg : Config.t) ~app ~input_bytes ~cycles ~work =
+(* The software baseline computes the reference itself and charges the
+   software implementation's cycle count; it verifies when the reference
+   fills every output object. *)
+let run_sw (cfg : Config.t) input =
+  let app = (Jobs.spec (Jobs.kind_of input)).Jobs.label in
   let _engine, kernel = make_kernel cfg in
   ignore (spawn_app kernel app);
   let t0 = Kernel.now kernel in
-  let verified = work () in
-  Kernel.charge kernel Accounting.Sw_app ~cycles;
+  let size_of id =
+    (List.find (fun (o : Jobs.obj) -> o.Jobs.id = id) (Jobs.objects input))
+      .Jobs.size
+  in
+  let verified =
+    List.for_all
+      (fun (id, out) -> Bytes.length out = size_of id)
+      (Jobs.reference input)
+  in
+  Kernel.charge kernel Accounting.Sw_app ~cycles:(Jobs.sw_cycles input);
   let wall = Simtime.sub (Kernel.now kernel) t0 in
-  let row = row_base ~app ~version:"SW" ~input_bytes in
+  let row = row_base ~app ~version:"SW" ~input_bytes:(Jobs.input_bytes input) in
   { (fill_times row kernel ~wall) with Report.verified }
 
-(* {1 adpcmdecode} *)
+(* {1 The paper's applications} *)
 
-let adpcm_sw cfg ~input =
-  let samples = 2 * Bytes.length input in
-  run_sw cfg ~app:"adpcmdecode" ~input_bytes:(Bytes.length input)
-    ~cycles:(samples * Rvi_coproc.Adpcm_coproc.sw_cycles_per_sample)
-    ~work:(fun () ->
-      Bytes.length (Rvi_coproc.Adpcm_ref.decode input)
-      = Rvi_coproc.Adpcm_ref.decoded_size (Bytes.length input))
-
-let adpcm_objects input =
-  let n = Bytes.length input in
-  [
-    {
-      id = Rvi_coproc.Adpcm_coproc.obj_in;
-      dir = Rvi_core.Mapped_object.In;
-      stream = true;
-      init = Some input;
-      size = n;
-    };
-    {
-      id = Rvi_coproc.Adpcm_coproc.obj_out;
-      dir = Rvi_core.Mapped_object.Out;
-      stream = true;
-      init = None;
-      size = Rvi_coproc.Adpcm_ref.decoded_size n;
-    };
-  ]
-
-let adpcm_verify input read_obj =
-  Bytes.equal (read_obj Rvi_coproc.Adpcm_coproc.obj_out)
-    (Rvi_coproc.Adpcm_ref.decode input)
-
+let adpcm_sw cfg ~input = run_sw cfg (Jobs.Adpcm_in input)
 let adpcm_vim ?pool ?inspect cfg ~input =
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [ (Rvi_coproc.Adpcm_coproc.obj_out, Rvi_coproc.Adpcm_ref.decode input) ])
-    cfg ~app:"adpcmdecode" ~bitstream:Calibration.adpcm_bitstream
-    ~make:Rvi_coproc.Adpcm_coproc.Virtual.create ~objects:(adpcm_objects input)
-    ~params:[ Bytes.length input ]
-    ~input_bytes:(Bytes.length input) ~verify:(adpcm_verify input)
+  run_virtual ?pool ?inspect cfg (Jobs.Adpcm_in input)
 
-let adpcm_normal cfg ~input =
-  let module M = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Dport) in
-  run_normal cfg ~app:"adpcmdecode" ~clock_hz:Calibration.adpcm_clock_hz
-    ~coproc_divide:1 ~make:M.create ~objects:(adpcm_objects input)
-    ~params:[ Bytes.length input ]
-    ~input_bytes:(Bytes.length input) ~verify:(adpcm_verify input)
+let adpcm_normal cfg ~input = run_normal cfg (Jobs.Adpcm_in input)
 
-(* {1 IDEA} *)
+let idea_sw cfg ~key ~input = run_sw cfg (Jobs.ecb ~key input)
 
-let idea_sw cfg ~key ~input =
-  let blocks = Bytes.length input / 8 in
-  run_sw cfg ~app:"idea" ~input_bytes:(Bytes.length input)
-    ~cycles:(blocks * Rvi_coproc.Idea_coproc.sw_cycles_per_block)
-    ~work:(fun () ->
-      Bytes.length (Rvi_coproc.Idea_ref.ecb ~key ~decrypt:false input)
-      = Bytes.length input)
+let idea_vim ?pool ?inspect ?decrypt cfg ~key ~input =
+  run_virtual ?pool ?inspect cfg (Jobs.ecb ?decrypt ~key input)
 
-let idea_objects input =
-  let n = Bytes.length input in
-  [
-    {
-      id = Rvi_coproc.Idea_coproc.obj_in;
-      dir = Rvi_core.Mapped_object.In;
-      stream = true;
-      init = Some input;
-      size = n;
-    };
-    {
-      id = Rvi_coproc.Idea_coproc.obj_out;
-      dir = Rvi_core.Mapped_object.Out;
-      stream = true;
-      init = None;
-      size = n;
-    };
-  ]
+let idea_normal ?decrypt cfg ~key ~input =
+  run_normal cfg (Jobs.ecb ?decrypt ~key input)
 
-let idea_verify ~key ~decrypt input read_obj =
-  Bytes.equal (read_obj Rvi_coproc.Idea_coproc.obj_out)
-    (Rvi_coproc.Idea_ref.ecb ~key ~decrypt input)
-
-let idea_params ~decrypt ~key input =
-  Rvi_coproc.Idea_coproc.params ~n_blocks:(Bytes.length input / 8) ~decrypt ~key
-
-let idea_vim ?pool ?inspect ?(decrypt = false) cfg ~key ~input =
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [
-        ( Rvi_coproc.Idea_coproc.obj_out,
-          Rvi_coproc.Idea_ref.ecb ~key ~decrypt input );
-      ])
-    cfg ~app:"idea" ~bitstream:Calibration.idea_bitstream
-    ~make:Rvi_coproc.Idea_coproc.Virtual.create ~objects:(idea_objects input)
-    ~params:(idea_params ~decrypt ~key input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(idea_verify ~key ~decrypt input)
-
-let idea_normal ?(decrypt = false) cfg ~key ~input =
-  let module M = Rvi_coproc.Idea_coproc.Make (Rvi_coproc.Dport) in
-  run_normal cfg ~app:"idea" ~clock_hz:Calibration.idea_imu_clock_hz
-    ~coproc_divide:Calibration.idea_divide ~make:M.create
-    ~objects:(idea_objects input)
-    ~params:(idea_params ~decrypt ~key input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(idea_verify ~key ~decrypt input)
-
-(* {1 vector add} *)
-
-let bytes_of_words words =
-  let b = Bytes.create (4 * Array.length words) in
-  Array.iteri
-    (fun i w ->
-      for k = 0 to 3 do
-        Bytes.set b ((4 * i) + k) (Char.chr ((w lsr (8 * k)) land 0xFF))
-      done)
-    words;
-  b
-
-let words_of_bytes b =
-  Array.init
-    (Bytes.length b / 4)
-    (fun i ->
-      let byte k = Char.code (Bytes.get b ((4 * i) + k)) in
-      byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24))
-
-let vecadd_sw cfg ~a ~b =
-  run_sw cfg ~app:"vecadd" ~input_bytes:(8 * Array.length a)
-    ~cycles:(Array.length a * Rvi_coproc.Vecadd.sw_cycles_per_element)
-    ~work:(fun () ->
-      Array.length (Rvi_coproc.Vecadd.reference ~a ~b) = Array.length a)
-
+let vecadd_sw cfg ~a ~b = run_sw cfg (Jobs.Vecadd_in { a; b })
 let vecadd_vim ?pool ?inspect cfg ~a ~b =
-  let n = Array.length a in
-  let objects =
-    [
-      {
-        id = Rvi_coproc.Vecadd.obj_a;
-        dir = Rvi_core.Mapped_object.In;
-        stream = true;
-        init = Some (bytes_of_words a);
-        size = 4 * n;
-      };
-      {
-        id = Rvi_coproc.Vecadd.obj_b;
-        dir = Rvi_core.Mapped_object.In;
-        stream = true;
-        init = Some (bytes_of_words b);
-        size = 4 * n;
-      };
-      {
-        id = Rvi_coproc.Vecadd.obj_c;
-        dir = Rvi_core.Mapped_object.Out;
-        stream = true;
-        init = None;
-        size = 4 * n;
-      };
-    ]
-  in
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [
-        ( Rvi_coproc.Vecadd.obj_c,
-          bytes_of_words (Rvi_coproc.Vecadd.reference ~a ~b) );
-      ])
-    cfg ~app:"vecadd" ~bitstream:Calibration.vecadd_bitstream
-    ~make:Rvi_coproc.Vecadd.Virtual.create ~objects ~params:[ n ]
-    ~input_bytes:(8 * n)
-    ~verify:(fun read_obj ->
-      words_of_bytes (read_obj Rvi_coproc.Vecadd.obj_c)
-      = Rvi_coproc.Vecadd.reference ~a ~b)
-
-(* {1 FIR} *)
+  run_virtual ?pool ?inspect cfg (Jobs.Vecadd_in { a; b })
 
 let fir_sw cfg ~coeffs ~shift ~input =
-  let taps = Array.length coeffs in
-  let n_out = (Bytes.length input / 2) - taps + 1 in
-  let cycles =
-    n_out
-    * ((taps * Rvi_coproc.Fir_ref.sw_cycles_per_tap)
-      + Rvi_coproc.Fir_ref.sw_cycles_per_output)
-  in
-  run_sw cfg ~app:"fir" ~input_bytes:(Bytes.length input) ~cycles
-    ~work:(fun () ->
-      Bytes.length (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input)
-      = Rvi_coproc.Fir_ref.output_bytes ~taps (Bytes.length input))
-
-let fir_objects ~coeffs input =
-  let taps = Array.length coeffs in
-  let coeff_bytes =
-    let b = Bytes.create (2 * taps) in
-    Array.iteri
-      (fun i c ->
-        let u = c land 0xFFFF in
-        Bytes.set b (2 * i) (Char.chr (u land 0xFF));
-        Bytes.set b ((2 * i) + 1) (Char.chr ((u lsr 8) land 0xFF)))
-      coeffs;
-    b
-  in
-  [
-    {
-      id = Rvi_coproc.Fir_coproc.obj_in;
-      dir = Rvi_core.Mapped_object.In;
-      stream = true;
-      init = Some input;
-      size = Bytes.length input;
-    };
-    {
-      id = Rvi_coproc.Fir_coproc.obj_coeff;
-      dir = Rvi_core.Mapped_object.In;
-      stream = false;
-      init = Some coeff_bytes;
-      size = 2 * taps;
-    };
-    {
-      id = Rvi_coproc.Fir_coproc.obj_out;
-      dir = Rvi_core.Mapped_object.Out;
-      stream = true;
-      init = None;
-      size = Rvi_coproc.Fir_ref.output_bytes ~taps (Bytes.length input);
-    };
-  ]
-
-let fir_params ~coeffs ~shift input =
-  let taps = Array.length coeffs in
-  Rvi_coproc.Fir_coproc.params
-    ~n_out:((Bytes.length input / 2) - taps + 1)
-    ~taps ~shift
-
-let fir_verify ~coeffs ~shift input read_obj =
-  Bytes.equal
-    (read_obj Rvi_coproc.Fir_coproc.obj_out)
-    (Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input)
+  run_sw cfg (Jobs.Fir_in { coeffs; shift; data = input })
 
 let fir_vim ?pool ?inspect cfg ~coeffs ~shift ~input =
-  run_virtual ?pool ?inspect
-    ~fallback:(fun () ->
-      [
-        ( Rvi_coproc.Fir_coproc.obj_out,
-          Rvi_coproc.Fir_ref.filter_bytes ~coeffs ~shift input );
-      ])
-    cfg ~app:"fir" ~bitstream:Calibration.fir_bitstream
-    ~make:Rvi_coproc.Fir_coproc.Virtual.create
-    ~objects:(fir_objects ~coeffs input)
-    ~params:(fir_params ~coeffs ~shift input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(fir_verify ~coeffs ~shift input)
+  run_virtual ?pool ?inspect cfg (Jobs.Fir_in { coeffs; shift; data = input })
 
 let fir_normal cfg ~coeffs ~shift ~input =
-  let module M = Rvi_coproc.Fir_coproc.Make (Rvi_coproc.Dport) in
-  run_normal cfg ~app:"fir" ~clock_hz:Calibration.adpcm_clock_hz
-    ~coproc_divide:1 ~make:M.create
-    ~objects:(fir_objects ~coeffs input)
-    ~params:(fir_params ~coeffs ~shift input)
-    ~input_bytes:(Bytes.length input)
-    ~verify:(fir_verify ~coeffs ~shift input)
-
-(* {1 IDEA in CBC mode (extension)} *)
-
-let idea_cbc_objects = idea_objects
+  run_normal cfg (Jobs.Fir_in { coeffs; shift; data = input })
 
 let idea_cbc_vim ?pool ?inspect cfg ~mode ~key ~iv ~input =
-  let decrypt =
-    match mode with
-    | Rvi_coproc.Idea_coproc.Ecb_decrypt | Rvi_coproc.Idea_coproc.Cbc_decrypt ->
-      true
-    | Rvi_coproc.Idea_coproc.Ecb_encrypt | Rvi_coproc.Idea_coproc.Cbc_encrypt ->
-      false
-  in
-  let expected =
-    match mode with
-    | Rvi_coproc.Idea_coproc.Ecb_encrypt | Rvi_coproc.Idea_coproc.Ecb_decrypt ->
-      Rvi_coproc.Idea_ref.ecb ~key ~decrypt input
-    | Rvi_coproc.Idea_coproc.Cbc_encrypt | Rvi_coproc.Idea_coproc.Cbc_decrypt ->
-      Rvi_coproc.Idea_ref.cbc ~key ~decrypt ~iv input
-  in
   let row =
-    run_virtual ?pool ?inspect
-      ~fallback:(fun () -> [ (Rvi_coproc.Idea_coproc.obj_out, expected) ])
-      cfg ~app:"idea" ~bitstream:Calibration.idea_bitstream
-      ~make:Rvi_coproc.Idea_coproc.Virtual.create
-      ~objects:(idea_cbc_objects input)
-      ~params:
-        (Rvi_coproc.Idea_coproc.params_mode
-           ~n_blocks:(Bytes.length input / 8)
-           ~mode ~key ~iv ())
-      ~input_bytes:(Bytes.length input)
-      ~verify:(fun read_obj ->
-        Bytes.equal (read_obj Rvi_coproc.Idea_coproc.obj_out) expected)
+    run_virtual ?pool ?inspect cfg (Jobs.Idea_in { mode; key; iv; data = input })
   in
   { row with Report.version = "VIM/" ^ Rvi_coproc.Idea_coproc.mode_name mode }

@@ -1,46 +1,33 @@
 (** System assembly and measurement runs.
 
-    One function per (application, version) pair; each run builds a fresh
-    simulated platform from a {!Config.t}, executes the workload through
+    One function per version (software, VIM, normal coprocessor) over a
+    {!Jobs.input}, plus one-line shorthands per application; each run
+    builds a fresh simulated platform from a {!Config.t}, executes the
+    workload through
     the full stack (syscalls, VIM, IMU, coprocessor) or the corresponding
     baseline, verifies the output against the software reference
     bit-for-bit, and returns a {!Report.row}. *)
 
-(** {1 Generic builders (used by the experiments and the tests)} *)
-
-type vobject = {
-  id : int;
-  dir : Rvi_core.Mapped_object.direction;
-  stream : bool;
-  init : Bytes.t option;  (** initial contents for In/Inout objects *)
-  size : int;
-}
+(** {1 Generic runs of a registry input} *)
 
 val run_virtual :
   ?pool:Platform.Pool.t ->
   ?inspect:(Platform.t -> unit) ->
-  ?fallback:(unit -> (int * Bytes.t) list) ->
   Config.t ->
-  app:string ->
-  bitstream:Rvi_fpga.Bitstream.t ->
-  make:(Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
-  objects:vobject list ->
-  params:int list ->
-  input_bytes:int ->
-  verify:((int -> Bytes.t) -> bool) ->
+  Jobs.input ->
   Report.row
-(** Full VIM-based run. [verify] receives an accessor from object id to
-    final user-space contents.
+(** Full VIM-based run: [FPGA_LOAD] the kind's bit-stream, map its
+    objects, [FPGA_EXECUTE] and verify every output object against the
+    software reference.
 
     When the configuration carries an injector, a transient hardware error
     (or a clean exit with a bad output) is retried up to
-    [Config.exec_retries] whole executions; exhaustion invokes [fallback]
-    — the software reference, returning the bytes to write per output
-    object — and the row degrades to a verified [Report.Degraded]. Without
-    a [fallback] the exhausted run fails.
+    [Config.exec_retries] whole executions; exhaustion falls back to the
+    software reference, which writes the output objects, and the row
+    degrades to a verified [Report.Degraded].
 
     With [pool] the platform is borrowed from (and returned to) a
-    {!Platform.Pool} under the application name instead of being built
+    {!Platform.Pool} under the application's label instead of being built
     per call — byte-identical results, a fraction of the host cost.
 
     [inspect] runs against the live platform after the run completes (and
@@ -59,29 +46,14 @@ module Phases : sig
   (** [(setup, execute, report)] in seconds. *)
 end
 
-val run_normal :
-  Config.t ->
-  app:string ->
-  clock_hz:int ->
-  coproc_divide:int ->
-  make:(Rvi_coproc.Dport.t -> Rvi_coproc.Coproc.t) ->
-  objects:vobject list ->
-  params:int list ->
-  input_bytes:int ->
-  verify:((int -> Bytes.t) -> bool) ->
-  Report.row
-(** Normal-coprocessor run (manual placement, no OS support). Produces an
-    [Exceeds_memory] outcome when the working set does not fit. *)
+val run_normal : Config.t -> Jobs.input -> Report.row
+(** Normal-coprocessor run (manual placement, no OS support), clocked as
+    the kind's bit-stream. Produces an [Exceeds_memory] outcome when the
+    working set does not fit. *)
 
-val run_sw :
-  Config.t ->
-  app:string ->
-  input_bytes:int ->
-  cycles:int ->
-  work:(unit -> bool) ->
-  Report.row
-(** Pure-software run: executes [work] (the reference computation,
-    returning the verification result) and charges [cycles] of CPU time. *)
+val run_sw : Config.t -> Jobs.input -> Report.row
+(** Pure-software run: computes the reference and charges the software
+    implementation's cycles ({!Jobs.sw_cycles}) of CPU time. *)
 
 (** {1 The paper's applications} *)
 

@@ -31,12 +31,13 @@ type t = {
   mutable next_tenant : int;
 }
 
-let kinds = [| Jobs.Adpcm; Jobs.Idea; Jobs.Fir |]
-
 let plan_tenant g ~id ~sq_capacity ~cq_capacity =
   let weight = 1 + Prng.int g 4 in
   let n_kinds = 1 + Prng.int g 3 in
-  let mix = Array.init n_kinds (fun _ -> kinds.(Prng.int g 3)) in
+  let served = Array.of_list Jobs.served in
+  let mix =
+    Array.init n_kinds (fun _ -> served.(Prng.int g (Array.length served)))
+  in
   (Tenant.create ~id ~weight ~sq_capacity ~cq_capacity, mix)
 
 let create ~seed ~tenants:n ~requests ~rate_hz ~bytes ?(sq_capacity = 64)
@@ -89,7 +90,7 @@ let make_request t ~tenant ~now =
     tenant;
     kind;
     seed = wseed;
-    bytes = Service.normalize_bytes kind b;
+    bytes = Jobs.align kind b;
     submitted_at = now;
   }
 

@@ -45,8 +45,7 @@ let select policy ~loaded ~reconfig_bias_us ~age_limit_us candidates =
     | Fcfs -> minimum by_seq candidates
     | Grouped -> (
       (* Batch by bit-stream: finish the resident kind's backlog before
-         paying a reconfiguration — the [Jobs] grouping result turned
-         into an online rule. The aging escape bounds the starvation
+         paying a reconfiguration. The aging escape bounds the starvation
          that rule invites under a sustained resident-kind load: once
          the globally oldest candidate has waited past the limit it
          runs regardless of residency. *)

@@ -1,10 +1,11 @@
 (** Pluggable dispatch policies for the multi-tenant service.
 
-    Generalises the bitstream-grouping experiment of {!Rvi_harness.Jobs}:
-    [Fcfs] and [Grouped] are the batch disciplines turned into online
-    rules; [Wfq] adds weighted fair queueing over tenant virtual time
-    with reconfiguration-cost awareness, and is the only preemptive
-    policy. *)
+    [Fcfs] dispatches in arrival order; [Grouped] batches by bit-stream,
+    running the resident kind's backlog before paying a reconfiguration
+    (a closed batch on one tenant under these two is the lattice
+    multiprogramming experiment, {!Multiprog}); [Wfq] adds weighted fair
+    queueing over tenant virtual time with reconfiguration-cost
+    awareness, and is the only preemptive policy. *)
 
 type t = Fcfs | Grouped | Wfq
 

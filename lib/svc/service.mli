@@ -1,12 +1,14 @@
 (** The multi-tenant coprocessor service.
 
-    One physical platform with a station per application kind (own IMU,
-    clock domain, VIM on a dedicated interrupt line — the
-    {!Rvi_harness.Jobs} construction), driven through {!Rvi_core.Vim}'s
-    sliced-execution API: per-tenant submission rings feed per-kind
-    dispatch queues, a {!Sched_policy} picks the next candidate, and
-    under the preemptive policy a running tenant can be parked
-    mid-execution and resumed later without observable difference.
+    One physical platform with a station per served application kind
+    ({!Rvi_harness.Jobs.served}; each a {!Rvi_harness.Platform.station}:
+    own IMU, clock domain, VIM on a dedicated interrupt line), driven
+    through {!Rvi_core.Vim}'s sliced-execution API: per-tenant
+    submission rings feed per-kind dispatch queues, a {!Sched_policy}
+    picks the next candidate, and under the preemptive policy a running
+    tenant can be parked mid-execution and resumed later without
+    observable difference. Requests are built from the application
+    registry ({!Rvi_harness.Jobs}).
 
     Invariants the tests lean on:
     - at most one parked context per station, and a station's parked
@@ -16,10 +18,6 @@
       executions retry up to [Config.exec_retries] times and then take
       the verified software fallback ([Degraded]) — the service never
       delivers unverified output. *)
-
-val normalize_bytes : Rvi_harness.Jobs.app_kind -> int -> int
-(** Rounds a requested input size to the kind's alignment (IDEA: 8-byte
-    blocks; FIR: even, at least two taps' worth; ADPCM: >= 1). *)
 
 type params = {
   sp_policy : Sched_policy.t;

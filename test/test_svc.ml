@@ -8,6 +8,7 @@
 
 module Simtime = Rvi_sim.Simtime
 module Kernel = Rvi_os.Kernel
+module Uspace = Rvi_os.Uspace
 module Config = Rvi_harness.Config
 module Platform = Rvi_harness.Platform
 module Calibration = Rvi_harness.Calibration
@@ -280,7 +281,7 @@ let test_cross_tenant_hang_isolation () =
   in
   let tenants = [| tenant 0; tenant 1 |] in
   let submit id kind seed =
-    let bytes = Service.normalize_bytes kind 256 in
+    let bytes = Jobs.align kind 256 in
     checkb "submitted" true
       (Tenant.submit tenants.(id)
          {
@@ -422,6 +423,144 @@ let test_chaos_service_route () =
   checks "declared SLO breach classifies slo-insane" "slo-insane"
     (Chaos.classification (Chaos.run sc))
 
+(* {1 Multiprogramming: a closed batch on one tenant} *)
+
+module Multiprog = Rvi_svc.Multiprog
+
+let test_multiprog_batch () =
+  let jobs = Multiprog.mixed_batch ~seed:3 ~jobs_per_app:3 in
+  checki "batch size" 9 (List.length jobs);
+  let cfg = Config.default () in
+  let fcfs = Multiprog.run cfg Sched_policy.Fcfs jobs in
+  let grouped = Multiprog.run cfg Sched_policy.Grouped jobs in
+  checkb "fcfs all verified" true fcfs.Multiprog.verified;
+  checkb "grouped all verified" true grouped.Multiprog.verified;
+  let fo = fcfs.Multiprog.outcome and go = grouped.Multiprog.outcome in
+  checki "fcfs jobs done" 9 fo.Service.o_completed;
+  checki "fcfs reconfigures every job" 9 fo.Service.o_reconfigurations;
+  checki "grouped reconfigures once per app" 3 go.Service.o_reconfigurations;
+  checkb "grouping cuts the makespan" true
+    Simtime.(go.Service.o_makespan < fo.Service.o_makespan)
+
+let test_multiprog_single_kind () =
+  (* A homogeneous batch configures once under either policy. *)
+  let jobs =
+    List.init 4 (fun i -> { Multiprog.kind = Jobs.Adpcm; seed = i; bytes = 2048 })
+  in
+  let r = Multiprog.run (Config.default ()) Sched_policy.Fcfs jobs in
+  checki "one configuration" 1 r.Multiprog.outcome.Service.o_reconfigurations;
+  checkb "verified" true r.Multiprog.verified
+
+let prop_grouped_minimises_reconfig =
+  QCheck.Test.make
+    ~name:"grouped dispatch reconfigures once per application kind" ~count:5
+    QCheck.(pair (int_bound 1000) (int_range 1 3))
+    (fun (seed, per_app) ->
+      let jobs = Multiprog.mixed_batch ~seed ~jobs_per_app:per_app in
+      let r = Multiprog.run (Config.default ()) Sched_policy.Grouped jobs in
+      r.Multiprog.outcome.Service.o_reconfigurations = 3 && r.Multiprog.verified)
+
+(* {1 One registry, two execution paths} *)
+
+(* Where the objects of [input] land on a fresh kernel: both paths
+   allocate a request's buffers first, in object order, from an empty
+   arena. *)
+let output_bufs input =
+  let engine = Rvi_sim.Engine.create () in
+  let cost =
+    Rvi_os.Cost_model.default ~cpu_freq_hz:Rvi_harness.Calibration.cpu_freq_hz
+  in
+  let scratch = Kernel.create ~engine ~cost ~sdram_bytes:(1 lsl 20) () in
+  Jobs.alloc scratch (Jobs.objects input)
+  |> List.filter (fun ((o : Jobs.obj), _) ->
+         o.Jobs.dir = Rvi_core.Mapped_object.Out)
+  |> List.map snd
+
+(* The blocking runner and the sliced service read every recipe from the
+   registry: for any served kind, seed and size, both verify and leave
+   byte-identical output buffers. *)
+let prop_runner_matches_service =
+  let served = Array.of_list Jobs.served in
+  QCheck.Test.make ~name:"runner and service outputs agree"
+    ~count:6
+    QCheck.(
+      triple (int_bound (Array.length served - 1)) (int_bound 10_000)
+        (int_bound 6_000))
+    (fun (k, seed, extra) ->
+      let kind = served.(k) in
+      let bytes = Jobs.align kind ((Jobs.spec kind).Jobs.min_bytes + extra) in
+      let input = Jobs.generate kind ~seed ~bytes in
+      let cfg = Config.default () in
+      let runner_out = ref [] in
+      let row =
+        Rvi_harness.Runner.run_virtual cfg input ~inspect:(fun p ->
+            runner_out := List.map (Platform.read p) (output_bufs input))
+      in
+      let tenant = Tenant.create ~id:0 ~weight:1 ~sq_capacity:1 ~cq_capacity:1 in
+      ignore
+        (Tenant.submit tenant
+           {
+             Tenant.rid = 0;
+             tenant = 0;
+             kind;
+             seed;
+             bytes;
+             submitted_at = Simtime.zero;
+           });
+      let svc =
+        Service.create cfg (Service.default_params Sched_policy.Fcfs)
+          ~tenants:[| tenant |]
+      in
+      ignore (Service.run svc Service.null_feed ~expect:1);
+      let service_out =
+        List.map (Uspace.read (Service.kernel svc)) (output_bufs input)
+      in
+      let expected = List.map snd (Jobs.reference input) in
+      row.Rvi_harness.Report.verified
+      && tenant.Tenant.completed = 1
+      && tenant.Tenant.degraded = 0
+      && List.for_all2 Bytes.equal !runner_out service_out
+      && List.for_all2 Bytes.equal service_out expected)
+
+(* {1 Tracing} *)
+
+(* The service shares the platform's wiring, so an injector's faults
+   reach the trace exactly as on the blocking path: one [Inject] event
+   per injected fault. *)
+let test_service_traces_injections () =
+  let inj = Injector.create ~seed:11 ~spec:(Rvi_inject.Spec.all ()) in
+  let trace = Rvi_obs.Trace.create ~capacity:(1 lsl 20) () in
+  let cfg =
+    {
+      (Config.default ()) with
+      Config.injector = Some inj;
+      trace = Some trace;
+      watchdog = Rvi_harness.Faults.default_watchdog;
+    }
+  in
+  let lg =
+    Loadgen.create ~seed:11 ~tenants:4 ~requests:100 ~rate_hz:0 ~bytes:2048 ()
+  in
+  let svc =
+    Service.create cfg (Service.default_params Sched_policy.Fcfs)
+      ~tenants:(Loadgen.tenants lg)
+  in
+  let outcome = Service.run svc (Loadgen.feed lg) ~expect:100 in
+  checki "every request completed" 100 outcome.Service.o_completed;
+  checki "nothing dropped from the trace" 0 (Rvi_obs.Trace.dropped trace);
+  let injected = Injector.injected_total inj in
+  checkb "faults were injected" true (injected > 0);
+  let traced =
+    List.length
+      (List.filter
+         (fun (e : Rvi_obs.Trace.event) ->
+           match e.Rvi_obs.Trace.kind with
+           | Rvi_obs.Trace.Inject _ -> true
+           | _ -> false)
+         (Rvi_obs.Trace.events trace))
+  in
+  checki "one Inject event per injected fault" injected traced
+
 let suite =
   [
     Alcotest.test_case "ring/basics" `Quick test_ring_basics;
@@ -444,4 +583,10 @@ let suite =
       test_scenario_tenant_axes_roundtrip;
     Alcotest.test_case "chaos/violation-classes" `Quick test_violation_classes;
     Alcotest.test_case "chaos/service-route" `Slow test_chaos_service_route;
+    Alcotest.test_case "multiprog/mixed-batch" `Slow test_multiprog_batch;
+    Alcotest.test_case "multiprog/single-kind" `Quick test_multiprog_single_kind;
+    QCheck_alcotest.to_alcotest prop_grouped_minimises_reconfig;
+    QCheck_alcotest.to_alcotest prop_runner_matches_service;
+    Alcotest.test_case "service/traced-injections" `Quick
+      test_service_traces_injections;
   ]
