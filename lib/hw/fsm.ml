@@ -16,10 +16,11 @@ let commit t =
   let before = Reg.get t.reg in
   Reg.commit t.reg;
   let after = Reg.get t.reg in
-  (* physical check first: [stay] commits (the per-cycle common case) keep
-     the same boxed state, so they never pay a structural compare *)
-  if after != before && after <> before then
-    t.transitions <- t.transitions + 1
+  (* Physical inequality only: [stay] keeps the very same value, a [goto]
+     installs a new one. A structural [<>] would be a polymorphic-compare
+     C call on every state change, for a count nothing in the model
+     reads. *)
+  if after != before then t.transitions <- t.transitions + 1
 
 (* Idle fast-forward support: land the machine directly in the state it
    would have reached after [transitions] skipped commits, counting those

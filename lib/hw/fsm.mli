@@ -35,4 +35,9 @@ val show : 'a t -> string
 (** Rendering of the committed state. *)
 
 val transitions : 'a t -> int
-(** Number of commits that changed the state (machine activity measure). *)
+(** Number of commits that installed a physically different state value
+    (machine activity measure). A {!stay} commit never counts; a {!goto}
+    counts unless it passes the very value already held, so for boxed
+    states a [goto] to a freshly built value counts even when it is
+    structurally equal to the current state. Immediate states (constant
+    constructors, ints) count exactly the commits that change the state. *)

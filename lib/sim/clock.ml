@@ -228,10 +228,10 @@ let plan_skip t ~now_ps ~h_ps ~peek_ps =
   else begin
   (* cap by the horizon (edge time <= horizon) and by the next queued
      event (edge time strictly before it, so queued work is not starved) *)
-  let tgt = min !target (c - 1 + ((h_ps - now_ps) / period_ps)) in
+  let tgt = Int.min !target (c - 1 + ((h_ps - now_ps) / period_ps)) in
   let tgt =
     if peek_ps = max_int then tgt
-    else min tgt (c - 1 + ((peek_ps - now_ps - 1) / period_ps))
+    else Int.min tgt (c - 1 + ((peek_ps - now_ps - 1) / period_ps))
   in
   if tgt <= c then 1
   else begin
@@ -350,10 +350,10 @@ and single_batch t gen self =
             else begin
               let c = t.cycles in
               let wake = if hint >= max_int - c then max_int else c + hint in
-              let tgt = min wake (c - 1 + ((h_ps - !now_ps) / period_ps)) in
+              let tgt = Int.min wake (c - 1 + ((h_ps - !now_ps) / period_ps)) in
               let tgt =
                 if peek_ps = max_int then tgt
-                else min tgt (c - 1 + ((peek_ps - !now_ps - 1) / period_ps))
+                else Int.min tgt (c - 1 + ((peek_ps - !now_ps - 1) / period_ps))
               in
               if tgt <= c then 1
               else begin

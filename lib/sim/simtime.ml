@@ -34,8 +34,9 @@ let compare = Int.compare
 let equal = Int.equal
 let ( <= ) (a : t) (b : t) = a <= b
 let ( < ) (a : t) (b : t) = a < b
-let min (a : t) (b : t) = Stdlib.min a b
-let max (a : t) (b : t) = Stdlib.max a b
+(* int-typed: Stdlib.min/max are polymorphic and compare through a C call *)
+let min (a : t) (b : t) = if a <= b then a else b
+let max (a : t) (b : t) = if a >= b then a else b
 
 let picos_per_second = 1_000_000_000_000
 

@@ -122,6 +122,11 @@ type t = {
   pld : Pld.t;
   stations : station array;
   tenants : Tenant.t array;
+  ready : int array;
+      (* binary min-heap of the ids of tenants whose submission ring
+         holds requests; the first [n_ready] entries are live *)
+  mutable n_ready : int;
+  is_ready : bool array;  (* heap membership, by tenant id *)
   quantum_us : float;
   reconfig_bias_us : float;
   age_limit_us : float;
@@ -158,9 +163,59 @@ let make_station (cfg : Config.t) ~kernel ~dpram kind =
     st_parked = None;
   }
 
+(* {2 Doorbells}
+
+   A tenant's accepted submit rings its doorbell, which puts the tenant
+   in the ready set; [drain] visits only ready tenants, smallest id
+   first, and a tenant leaves the set when its ring empties. That is
+   the order of a scan over every tenant, without the scan: the cost
+   per quantum follows the tenants with work, not the tenant count. *)
+
+let ring_doorbell t id =
+  if not t.is_ready.(id) then begin
+    t.is_ready.(id) <- true;
+    let h = t.ready in
+    let i = ref t.n_ready in
+    while !i > 0 && h.((!i - 1) / 2) > id do
+      h.(!i) <- h.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    h.(!i) <- id;
+    t.n_ready <- t.n_ready + 1
+  end
+
+let pop_ready t =
+  let h = t.ready in
+  let n = t.n_ready - 1 in
+  t.is_ready.(h.(0)) <- false;
+  t.n_ready <- n;
+  if n > 0 then begin
+    let x = h.(n) in
+    let i = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < x then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    h.(!i) <- x
+  end
+
 let create (cfg : Config.t) (params : params) ~tenants =
   if Simtime.compare params.sp_quantum Simtime.zero <= 0 then
     invalid_arg "Service.create: quantum must be positive";
+  Array.iteri
+    (fun i (tn : Tenant.t) ->
+      if tn.Tenant.id <> i then
+        invalid_arg "Service.create: tenant ids must be their array indices")
+    tenants;
   let engine = Engine.create () in
   let cost = Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz in
   let kernel =
@@ -174,32 +229,47 @@ let create (cfg : Config.t) (params : params) ~tenants =
   in
   ignore (Rvi_os.Sched.schedule (Kernel.sched kernel));
   let cpu_hz = float_of_int cfg.Config.device.Device.cpu_freq_hz in
-  {
-    cfg;
-    params;
-    kernel;
-    engine;
-    pld;
-    stations;
+  let n = Array.length tenants in
+  let t =
+    {
+      cfg;
+      params;
+      kernel;
+      engine;
+      pld;
+      stations;
+      tenants;
+      ready = Array.make n 0;
+      n_ready = 0;
+      is_ready = Array.make n false;
+      quantum_us = float_of_int (Simtime.to_ps params.sp_quantum) /. 1e6;
+      reconfig_bias_us =
+        float_of_int cost.Cost_model.configure_pld /. cpu_hz *. 1e6;
+      age_limit_us = float_of_int (Simtime.to_ps params.sp_aging) /. 1e6;
+      feed = null_feed;
+      enq_seq = 0;
+      backlog = 0;
+      parked_count = 0;
+      completions = 0;
+      reconfigurations = 0;
+      configuration_time = Simtime.zero;
+      preemptions = 0;
+      resumes = 0;
+      force_drain = false;
+      starved = [];
+      inconsistencies = [];
+      exhausted = false;
+    }
+  in
+  (* one doorbell shared by every tenant; requests submitted before the
+     service existed rang no bell, so seed the set from the rings *)
+  let bell id = ring_doorbell t id in
+  Array.iter
+    (fun (tn : Tenant.t) ->
+      tn.Tenant.doorbell <- bell;
+      if not (Ring.is_empty tn.Tenant.sq) then ring_doorbell t tn.Tenant.id)
     tenants;
-    quantum_us = float_of_int (Simtime.to_ps params.sp_quantum) /. 1e6;
-    reconfig_bias_us =
-      float_of_int cost.Cost_model.configure_pld /. cpu_hz *. 1e6;
-    age_limit_us = float_of_int (Simtime.to_ps params.sp_aging) /. 1e6;
-    feed = null_feed;
-    enq_seq = 0;
-    backlog = 0;
-    parked_count = 0;
-    completions = 0;
-    reconfigurations = 0;
-    configuration_time = Simtime.zero;
-    preemptions = 0;
-    resumes = 0;
-    force_drain = false;
-    starved = [];
-    inconsistencies = [];
-    exhausted = false;
-  }
+  t
 
 let vim_of_kind t kind = t.stations.(Jobs.index kind).st_vim
 let kernel t = t.kernel
@@ -207,22 +277,31 @@ let tenants t = t.tenants
 
 (* {2 Queues and candidates} *)
 
+(* Move submitted requests onto the station queues while the backlog is
+   below its limit: ready tenants in ascending id, each ring emptied
+   before the next tenant's. *)
 let drain t =
-  Array.iter
-    (fun (tn : Tenant.t) ->
-      let rec go () =
-        if t.backlog < t.params.sp_backlog_limit then
-          match Ring.pop tn.Tenant.sq with
-          | Some (req : Tenant.request) ->
-            let st = t.stations.(Jobs.index req.Tenant.kind) in
-            Queue.add (req, t.enq_seq) st.st_queue;
-            t.enq_seq <- t.enq_seq + 1;
-            t.backlog <- t.backlog + 1;
-            go ()
-          | None -> ()
-      in
-      go ())
-    t.tenants
+  let limit = t.params.sp_backlog_limit in
+  while t.n_ready > 0 && t.backlog < limit do
+    let sq = t.tenants.(t.ready.(0)).Tenant.sq in
+    while t.backlog < limit && not (Ring.is_empty sq) do
+      match Ring.pop sq with
+      | Some (req : Tenant.request) ->
+        let st = t.stations.(Jobs.index req.Tenant.kind) in
+        Queue.add (req, t.enq_seq) st.st_queue;
+        t.enq_seq <- t.enq_seq + 1;
+        t.backlog <- t.backlog + 1
+      | None -> assert false
+    done;
+    if Ring.is_empty sq then pop_ready t
+  done
+
+let take t kind =
+  match Queue.take_opt t.stations.(Jobs.index kind).st_queue with
+  | Some ((req : Tenant.request), seq) ->
+    t.backlog <- t.backlog - 1;
+    Some (req.Tenant.rid, seq)
+  | None -> None
 
 let age_us t (req : Tenant.request) =
   float_of_int

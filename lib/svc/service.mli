@@ -59,6 +59,19 @@ val vim_of_kind : t -> Rvi_harness.Jobs.app_kind -> Rvi_core.Vim.t
 (** The station VIM, exposed for consistency inspection by tests and
     the chaos harness. *)
 
+val drain : t -> unit
+(** Moves submitted requests from the tenants' submission rings onto the
+    per-kind station queues, as the service loop does after every
+    quantum: tenants whose doorbell rang since their ring last emptied,
+    in ascending id, each ring emptied before the next, stopping when the
+    backlog reaches [sp_backlog_limit]. Each request is stamped with the
+    next enqueue sequence number. *)
+
+val take : t -> Rvi_harness.Jobs.app_kind -> (int * int) option
+(** Removes the head of a kind's station queue, as a dispatch would, and
+    returns its [(rid, enqueue sequence number)]. Exposed, with {!drain},
+    for the drain-order property test. *)
+
 type outcome = {
   o_completed : int;
   o_makespan : Rvi_sim.Simtime.t;

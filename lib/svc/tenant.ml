@@ -49,7 +49,10 @@ type t = {
   mutable starved : bool;
   mutable cq_overruns : int;
   lat : Histogram.t;
+  mutable doorbell : int -> unit;
 }
+
+let no_doorbell (_ : int) = ()
 
 let create ~id ~weight ~sq_capacity ~cq_capacity =
   if weight <= 0 then invalid_arg "Tenant.create: weight must be positive";
@@ -69,12 +72,14 @@ let create ~id ~weight ~sq_capacity ~cq_capacity =
     starved = false;
     cq_overruns = 0;
     lat = Histogram.create ();
+    doorbell = no_doorbell;
   }
 
 let submit t req =
   if Ring.push t.sq req then begin
     t.submitted <- t.submitted + 1;
     t.pending <- t.pending + 1;
+    t.doorbell t.id;
     true
   end
   else begin

@@ -51,13 +51,17 @@ type t = {
   mutable starved : bool;
   mutable cq_overruns : int;
   lat : Rvi_sim.Histogram.t;  (** per-request latency, microseconds *)
+  mutable doorbell : int -> unit;
+      (** rung with [id] by every accepted {!submit} (the virtqueue
+          "kick"); a no-op until a service attaches its own *)
 }
 
 val create : id:int -> weight:int -> sq_capacity:int -> cq_capacity:int -> t
 
 val submit : t -> request -> bool
 (** Push onto the submission ring; [false] (and a [dropped] tick) when
-    the ring is full — the admission-control refusal. *)
+    the ring is full — the admission-control refusal. An accepted
+    request rings the {!doorbell}; a refused one does not. *)
 
 val complete : t -> completion -> unit
 (** Records the completion: counters, latency histogram, progress stamp,

@@ -140,6 +140,35 @@ let test_fsm () =
   Fsm.reset m A;
   checkb "reset" true (Fsm.state m = A)
 
+(* [transitions] counts commits that install a physically different
+   value: for a boxed state a [goto] to a freshly built value counts even
+   when it is structurally equal to the current one, while [stay] (and a
+   [goto] of the value already held) does not. *)
+type boxed = Count of int
+
+let test_fsm_boxed_transitions () =
+  let show (Count n) = string_of_int n in
+  let m = Fsm.create ~name:"boxed" ~init:(Count 0) ~show in
+  Fsm.stay m;
+  Fsm.commit m;
+  checki "stay does not count" 0 (Fsm.transitions m);
+  Fsm.goto m (Fsm.state m);
+  Fsm.commit m;
+  checki "goto of the held value does not count" 0 (Fsm.transitions m);
+  let fresh = Count (int_of_string "0") in
+  checkb "fresh value is a distinct block" true (fresh != Fsm.state m);
+  Fsm.goto m fresh;
+  Fsm.commit m;
+  checki "goto of a fresh equal value counts" 1 (Fsm.transitions m);
+  checkb "state is structurally unchanged" true (Fsm.state m = Count 0);
+  Fsm.goto m (Count 1);
+  Fsm.commit m;
+  checki "goto of a different value counts" 2 (Fsm.transitions m);
+  Fsm.stay m;
+  Fsm.commit m;
+  checki "stay after a goto does not count" 2 (Fsm.transitions m);
+  Alcotest.(check string) "show" "1" (Fsm.show m)
+
 (* {1 Wave} *)
 
 let test_wave_capture () =
@@ -205,6 +234,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_slice_concat;
     Alcotest.test_case "reg/two-phase" `Quick test_reg;
     Alcotest.test_case "fsm/transitions" `Quick test_fsm;
+    Alcotest.test_case "fsm/boxed-transitions" `Quick test_fsm_boxed_transitions;
     Alcotest.test_case "wave/capture" `Quick test_wave_capture;
     Alcotest.test_case "wave/width-mask" `Quick test_wave_width_mask;
     Alcotest.test_case "wave/ascii" `Quick test_wave_ascii;
