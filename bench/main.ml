@@ -96,7 +96,7 @@ let bench_tlb =
   done;
   Test.make ~name:"tlb/translate-hit"
     (Staged.stage (fun () ->
-         ignore (Rvi_core.Tlb.translate tlb ~obj_id:1 ~vpn:4 ~stamp:0 ~wr:false)))
+         ignore (Rvi_core.Tlb.translate tlb ~obj_id:1 ~vpn:4 ~stamp:0 ~wr:false : int)))
 
 let bench_adpcm_ref =
   let input = Rvi_harness.Workload.adpcm_stream ~seed:1 ~bytes:1024 in

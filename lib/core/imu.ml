@@ -30,18 +30,28 @@ let sva_asid = 0
    answers with a one-cycle CP_TLBHIT pulse when the dual-port access
    completes — on the 4th rising edge after the request with the default
    2-cycle CAM search (Figure 7). A miss parks the FSM in [Faulted] with
-   the coprocessor stalled until the OS resumes translation. *)
+   the coprocessor stalled until the OS resumes translation.
+
+   The state is an immediate value; the countdown and the resolved page of
+   [Wait]/[Miss_wait] live in the [left]/[ppn] fields of [t], so a state
+   change is a plain store (no block, no write barrier). *)
 type state =
   | Idle
-  | Wait of int * int (* edges left before the access cycle, resolved page *)
-  | Miss_wait of int (* edges left before the fault is signalled *)
+  | Wait (* [left] edges before the access cycle on page [ppn] *)
+  | Miss_wait (* [left] edges before the fault is signalled *)
   | Faulted
 
 let show_state = function
   | Idle -> "idle"
-  | Wait (n, _) -> Printf.sprintf "lookup%d" n
-  | Miss_wait n -> Printf.sprintf "miss%d" n
+  | Wait -> "lookup"
+  | Miss_wait -> "miss"
   | Faulted -> "fault"
+
+module Fsm = Rvi_hw.Fsm.Make (struct
+  type t = state
+
+  let show = show_state
+end)
 
 type access_event = {
   at_cycle : int;
@@ -63,7 +73,15 @@ type t = {
   walker : Walker.t option; (* SVA: hardware page-table walker *)
   sva_base : int array; (* SVA: per-object window base VA, -1 = unset *)
   mutable page_table : Rvi_os.Page_table.t option;
-  fsm : state Rvi_hw.Fsm.t;
+  fsm : Fsm.t;
+  (* [Wait]/[Miss_wait] payload. Written in the compute phase that enters
+     or ticks the state and read only by the IMU itself (compute, hint,
+     skip), so it needs no second register view. *)
+  mutable left : int;
+  mutable ppn : int;
+  mutable search_extra : int;
+      (* cycles the last resolution spent beyond the L1 CAM window (L2
+         search, walker); always 0 in paper mode *)
   (* Latched request being translated — flat mutable fields (no
      [request option] box) because one is latched per coprocessor access,
      squarely on the campaign hot path. [req_valid] is the option tag. *)
@@ -75,7 +93,10 @@ type t = {
   mutable req_width : Cp_port.width;
   mutable param_page : int option;
   mutable params_done : bool;
-  mutable fault : (int * int) option;
+  (* pending fault key, flat: [perform_access] clears it on every access *)
+  mutable fault_valid : bool;
+  mutable fault_obj : int;
+  mutable fault_vpn : int;
   mutable fin_seen : bool;
   mutable prev_fin : bool; (* for rising-edge detection across executions *)
   mutable start_pending : bool;
@@ -131,7 +152,10 @@ let create ?(config = default_config) ?l2 ~port ~dpram ~raise_irq () =
     walker;
     sva_base = Array.make (Cp_port.param_obj + 1) (-1);
     page_table = None;
-    fsm = Rvi_hw.Fsm.create ~name:"imu" ~init:Idle ~show:show_state;
+    fsm = Fsm.create ~name:"imu" ~init:Idle;
+    left = 0;
+    ppn = 0;
+    search_extra = 0;
     req_valid = false;
     req_obj = 0;
     req_addr = 0;
@@ -140,7 +164,9 @@ let create ?(config = default_config) ?l2 ~port ~dpram ~raise_irq () =
     req_width = Cp_port.W32;
     param_page = None;
     params_done = false;
-    fault = None;
+    fault_valid = false;
+    fault_obj = 0;
+    fault_vpn = 0;
     fin_seen = false;
     prev_fin = false;
     start_pending = false;
@@ -168,17 +194,20 @@ let config t = t.cfg
 let tlb t = t.tlb
 let port t = t.port
 
+(* The parameter page, for a parameter-object access (which bypasses the
+   TLB). *)
+let param_ppn t =
+  match t.param_page with
+  | Some ppn ->
+    Rvi_sim.Stats.tick t.c_param_reads;
+    ppn
+  | None -> failwith "Imu: parameter access with no parameter page configured"
+
 (* Translation attempt for the latched request: the physical page on a hit,
-   [None] on a miss. Parameter-object accesses bypass the TLB; the first
-   non-parameter access marks the parameters consumed. *)
+   -1 on a miss. The first non-parameter access marks the parameters
+   consumed. *)
 let resolve t ~stamp =
-  if t.req_obj = Cp_port.param_obj then begin
-    match t.param_page with
-    | Some ppn ->
-      Rvi_sim.Stats.tick t.c_param_reads;
-      Some ppn
-    | None -> failwith "Imu: parameter access with no parameter page configured"
-  end
+  if t.req_obj = Cp_port.param_obj then param_ppn t
   else begin
     if not t.params_done then t.params_done <- true;
     let vpn = Rvi_mem.Page.vpn t.geom t.req_addr in
@@ -187,30 +216,29 @@ let resolve t ~stamp =
 
 (* SVA: the per-object window register rebases the coprocessor's
    object-local address onto the process VA space. A negative base means
-   the window was never programmed — an unconditional fault. *)
+   the window was never programmed — an unconditional fault — and is
+   returned as -1. *)
 let sva_va t =
   let base = t.sva_base.(t.req_obj) in
-  if base < 0 then None else Some (base + t.req_addr)
+  if base < 0 then -1 else base + t.req_addr
 
 (* Virtual page of the latched request under the active translation mode
    (SVA: the process-global page; -1 for an unprogrammed window). *)
 let req_vpn t =
   match t.cfg.translation with
   | Translation_mode.Paper_objects -> Rvi_mem.Page.vpn t.geom t.req_addr
-  | Translation_mode.Iommu_sva -> (
-    match sva_va t with
-    | Some va -> Rvi_mem.Page.vpn t.geom va
-    | None -> -1)
+  | Translation_mode.Iommu_sva ->
+    let va = sva_va t in
+    if va < 0 then -1 else Rvi_mem.Page.vpn t.geom va
 
 let req_offset t =
   match t.cfg.translation with
   | Translation_mode.Paper_objects -> Rvi_mem.Page.offset t.geom t.req_addr
   | Translation_mode.Iommu_sva ->
     if t.req_obj = Cp_port.param_obj then Rvi_mem.Page.offset t.geom t.req_addr
-    else (
-      match sva_va t with
-      | Some va -> Rvi_mem.Page.offset t.geom va
-      | None -> 0)
+    else
+      let va = sva_va t in
+      if va < 0 then 0 else Rvi_mem.Page.offset t.geom va
 
 (* Replacement down the hierarchy must not lose write-back state: a dirty
    victim leaving a TLB level marks the L2 entry for the same page, or
@@ -225,33 +253,28 @@ let fold_dirty_to_pte t ~vpn =
 
 let fold_dirty_from_l1 t ~vpn =
   match t.l2 with
-  | Some l2 -> (
-    match Tlb.lookup l2 ~obj_id:sva_asid ~vpn with
-    | Tlb.Hit slot -> Tlb.mark_dirty l2 ~slot
-    | Tlb.Miss -> fold_dirty_to_pte t ~vpn)
+  | Some l2 ->
+    let slot = Tlb.lookup l2 ~obj_id:sva_asid ~vpn in
+    if slot >= 0 then Tlb.mark_dirty l2 ~slot else fold_dirty_to_pte t ~vpn
   | None -> fold_dirty_to_pte t ~vpn
 
 (* Hardware refill of one TLB level: an invalid way if there is one, else
    the LRU entry among the allowed ways, with the victim's dirty bit
-   folded down by [fold]. Returns the slot written. *)
-let hw_refill tlb ~vpn ~ppn ~stamp ~fold =
+   folded down one level — into the L2 (or the PTE) for an L1 victim
+   ([~l1:true]), into the PTE for an L2 victim. Returns the slot
+   written. *)
+let hw_refill t tlb ~l1 ~vpn ~ppn ~stamp =
   let slot =
-    match Tlb.free_way_slot tlb ~obj_id:sva_asid ~vpn with
-    | Some s -> s
-    | None ->
-      let victim = ref (-1) and lru = ref max_int in
-      List.iter
-        (fun s ->
-          let e = Tlb.get tlb ~slot:s in
-          if e.Tlb.last_access < !lru then begin
-            victim := s;
-            lru := e.Tlb.last_access
-          end)
-        (Tlb.way_slots tlb ~obj_id:sva_asid ~vpn);
-      let s = !victim in
+    let free = Tlb.free_way_slot tlb ~obj_id:sva_asid ~vpn in
+    if free >= 0 then free
+    else begin
+      let s = Tlb.lru_way_slot tlb ~obj_id:sva_asid ~vpn in
       let e = Tlb.get tlb ~slot:s in
-      if e.Tlb.valid && e.Tlb.dirty then fold e.Tlb.vpn;
+      if e.Tlb.valid && e.Tlb.dirty then
+        if l1 then fold_dirty_from_l1 t ~vpn:e.Tlb.vpn
+        else fold_dirty_to_pte t ~vpn:e.Tlb.vpn;
       s
+    end
   in
   Tlb.insert tlb ~slot ~obj_id:sva_asid ~vpn ~ppn ~stamp;
   slot
@@ -285,60 +308,52 @@ let corrupt_l2_maybe t l2 =
 
 (* SVA translation of the latched request: L1 CAM, then the shared L2,
    then the walker over the process's page table — refilling upwards on
-   the way back, as a hardware IOMMU does. Returns the physical page
-   ([None] means a VIM-serviced fault) and the search cycles spent beyond
-   the L1 CAM window. *)
+   the way back, as a hardware IOMMU does. Returns the physical page (-1
+   means a VIM-serviced fault) and leaves the search cycles spent beyond
+   the L1 CAM window in [search_extra]. *)
 let resolve_sva t =
   let stamp = t.cycle + t.cfg.lookup_states in
-  if t.req_obj = Cp_port.param_obj then begin
-    match t.param_page with
-    | Some ppn ->
-      Rvi_sim.Stats.tick t.c_param_reads;
-      (Some ppn, 0)
-    | None -> failwith "Imu: parameter access with no parameter page configured"
-  end
+  t.search_extra <- 0;
+  if t.req_obj = Cp_port.param_obj then param_ppn t
   else begin
     if not t.params_done then t.params_done <- true;
-    match sva_va t with
-    | None -> (None, 0) (* unprogrammed window: fault without searching *)
-    | Some va -> (
+    let va = sva_va t in
+    if va < 0 then -1 (* unprogrammed window: fault without searching *)
+    else begin
       let vpn = Rvi_mem.Page.vpn t.geom va in
-      match Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr with
-      | Some ppn -> (Some ppn, 0)
-      | None -> (
+      let ppn = Tlb.translate t.tlb ~obj_id:sva_asid ~vpn ~stamp ~wr:t.req_wr in
+      if ppn >= 0 then ppn
+      else begin
         let l2 =
           match t.l2 with
           | Some l2 -> l2
           | None -> failwith "Imu: SVA mode with no L2 TLB"
         in
-        let extra = t.cfg.l2_hit_cycles in
-        match Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false with
-        | Some ppn ->
-          let slot =
-            hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
-                fold_dirty_from_l1 t ~vpn:v)
-          in
+        t.search_extra <- t.cfg.l2_hit_cycles;
+        let ppn = Tlb.translate l2 ~obj_id:sva_asid ~vpn ~stamp ~wr:false in
+        if ppn >= 0 then begin
+          let slot = hw_refill t t.tlb ~l1:true ~vpn ~ppn ~stamp in
           Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
-          (Some ppn, extra)
-        | None -> (
+          ppn
+        end
+        else
           match (t.page_table, t.walker) with
           | Some pt, Some w -> (
             match t.injector with
             | Some inj
-              when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Walker_hang
-              ->
+              when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Walker_hang ->
               (* The walker wedges mid-walk: the access never completes and
                  SR shows nothing. Only the VIM's watchdog (and the CR
                  reset that follows) reclaims the interface — the same
                  recovery row as a coprocessor hang. *)
               t.hung <- true;
+              t.search_extra <- 0;
               Rvi_sim.Stats.incr t.stats "walker_hangs";
-              (None, 0)
+              -1
             | _ -> (
               match t.injector with
               | Some inj
-                when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Ptw_error
-                ->
+                when Rvi_inject.Injector.fire inj Rvi_inject.Fault.Ptw_error ->
                 (* The walk's bus read answers with an error response: the
                    walk aborts after one level's worth of cycles and the
                    fault goes to the VIM, which resumes translation so the
@@ -346,45 +361,48 @@ let resolve_sva t =
                    budget. *)
                 t.walk_errored <- true;
                 Rvi_sim.Stats.incr t.stats "ptw_errors";
-                (None, extra + (Walker.config w).Walker.cycles_per_level)
+                t.search_extra <-
+                  t.search_extra + (Walker.config w).Walker.cycles_per_level;
+                -1
               | _ -> (
                 let o = Walker.walk w pt ~vpn in
-                let extra = extra + o.Walker.cycles in
+                t.search_extra <- t.search_extra + o.Walker.cycles;
                 match o.Walker.frame with
                 | Some ppn ->
-                  ignore
-                    (hw_refill l2 ~vpn ~ppn ~stamp ~fold:(fun v ->
-                         fold_dirty_to_pte t ~vpn:v));
+                  ignore (hw_refill t l2 ~l1:false ~vpn ~ppn ~stamp);
                   corrupt_l2_maybe t l2;
-                  let slot =
-                    hw_refill t.tlb ~vpn ~ppn ~stamp ~fold:(fun v ->
-                        fold_dirty_from_l1 t ~vpn:v)
-                  in
+                  let slot = hw_refill t t.tlb ~l1:true ~vpn ~ppn ~stamp in
                   Tlb.touch t.tlb ~slot ~stamp ~wr:t.req_wr;
-                  (Some ppn, extra)
-                | None -> (None, extra))))
-          | _ -> (None, extra))))
+                  ppn
+                | None -> -1)))
+          | _ -> -1
+      end
+    end
   end
 
 let enter_fault t =
   let vpn = req_vpn t in
-  let key = (t.req_obj, vpn) in
   (* A repeat fault right after resume normally means the OS failed to
      install a translation — a kernel bug worth crashing on. The one
      legitimate case is an SVA walk that aborted on an injected PTW bus
      error: the translation exists, the walk of it failed, and the VIM
      bounds how often we come back here. *)
-  if t.just_resumed && t.fault = Some key && not t.walk_errored then
+  if
+    t.just_resumed && t.fault_valid && t.fault_obj = t.req_obj
+    && t.fault_vpn = vpn && not t.walk_errored
+  then
     failwith
       (Printf.sprintf
          "Imu: double fault on object %d page %d — OS resumed without \
           installing a translation"
          t.req_obj vpn);
   t.walk_errored <- false;
-  t.fault <- Some key;
+  t.fault_valid <- true;
+  t.fault_obj <- t.req_obj;
+  t.fault_vpn <- vpn;
   t.just_resumed <- false;
   Rvi_sim.Stats.incr t.stats "faults";
-  Rvi_hw.Fsm.goto t.fsm Faulted;
+  Fsm.goto t.fsm Faulted;
   t.raise_irq ()
 
 let perform_access t ppn =
@@ -415,7 +433,7 @@ let perform_access t ppn =
   t.out_tlbhit <- true;
   t.just_resumed <- false;
   t.walk_errored <- false;
-  t.fault <- None
+  t.fault_valid <- false
 
 (* The CAM search result is a pure function of the TLB image at latch time
    (nothing else touches the TLB while the coprocessor is mid-access, and
@@ -426,31 +444,37 @@ let perform_access t ppn =
    bit-identical to stepping the search cycle by cycle; only the host work
    of the intermediate edges disappears. *)
 let translate_or_fault t =
-  let resolved, extra =
+  let ppn =
     match t.cfg.translation with
     | Translation_mode.Paper_objects ->
-      (resolve t ~stamp:(t.cycle + t.cfg.lookup_states), 0)
+      resolve t ~stamp:(t.cycle + t.cfg.lookup_states)
     | Translation_mode.Iommu_sva -> resolve_sva t
   in
-  (* [extra] stretches the countdown by the L2 search and walker cycles
-     (always 0 in paper mode, keeping that path byte-identical). *)
-  let states = t.cfg.lookup_states + extra in
+  (* [search_extra] stretches the countdown by the L2 search and walker
+     cycles (only [resolve_sva] sets it: always 0 in paper mode, keeping
+     that path byte-identical). *)
+  let states = t.cfg.lookup_states + t.search_extra in
   if t.hung then
     (* A walker hang injected during resolution: the access never
        completes. [compute] keeps the FSM where it is until the watchdog
        abort resets the interface. *)
-    Rvi_hw.Fsm.stay t.fsm
-  else
-  match resolved with
-  | Some ppn ->
+    Fsm.stay t.fsm
+  else if ppn >= 0 then begin
     if states = 0 then begin
       perform_access t ppn;
-      Rvi_hw.Fsm.goto t.fsm Idle
+      Fsm.goto t.fsm Idle
     end
-    else Rvi_hw.Fsm.goto t.fsm (Wait (states, ppn))
-  | None ->
-    if states = 0 then enter_fault t
-    else Rvi_hw.Fsm.goto t.fsm (Miss_wait (states - 1))
+    else begin
+      t.left <- states;
+      t.ppn <- ppn;
+      Fsm.goto t.fsm Wait
+    end
+  end
+  else if states = 0 then enter_fault t
+  else begin
+    t.left <- states - 1;
+    Fsm.goto t.fsm Miss_wait
+  end
 
 let begin_translation t =
   let p = t.port in
@@ -467,9 +491,9 @@ let begin_translation t =
     let tlb_hit =
       match t.cfg.translation with
       | Translation_mode.Paper_objects ->
-        Tlb.lookup t.tlb ~obj_id:t.req_obj ~vpn <> Tlb.Miss
+        Tlb.lookup t.tlb ~obj_id:t.req_obj ~vpn >= 0
       | Translation_mode.Iommu_sva ->
-        vpn >= 0 && Tlb.lookup t.tlb ~obj_id:sva_asid ~vpn <> Tlb.Miss
+        vpn >= 0 && Tlb.lookup t.tlb ~obj_id:sva_asid ~vpn >= 0
     in
     probe
       {
@@ -489,7 +513,7 @@ let begin_translation t =
        watchdog (followed by a CR reset) gets out of this. *)
     t.hung <- true;
     Rvi_sim.Stats.incr t.stats "hangs";
-    Rvi_hw.Fsm.stay t.fsm
+    Fsm.stay t.fsm
   | _ -> translate_or_fault t
 
 let compute t =
@@ -497,12 +521,12 @@ let compute t =
   t.out_tlbhit <- false;
   if t.hung then begin
     Rvi_sim.Stats.tick t.c_hang;
-    Rvi_hw.Fsm.stay t.fsm
+    Fsm.stay t.fsm
   end
   else begin
-  (match Rvi_hw.Fsm.state t.fsm with
+  (match Fsm.state t.fsm with
   | Idle -> ()
-  | Wait _ | Miss_wait _ | Faulted -> Rvi_sim.Stats.tick t.c_busy);
+  | Wait | Miss_wait | Faulted -> Rvi_sim.Stats.tick t.c_busy);
   (* CP_FIN is level-held by the coprocessor; latch its rising edge so a
      completion left over from a previous execution is not re-reported. *)
   let fin_now = t.port.Cp_port.cp_fin in
@@ -511,26 +535,30 @@ let compute t =
     t.raise_irq ()
   end;
   t.prev_fin <- fin_now;
-  match Rvi_hw.Fsm.state t.fsm with
+  match Fsm.state t.fsm with
   | Idle ->
     if t.start_pending then begin
       t.start_pending <- false;
       t.out_start <- true;
-      Rvi_hw.Fsm.stay t.fsm
+      Fsm.stay t.fsm
     end
     else if t.port.Cp_port.cp_access && not t.fin_seen then begin_translation t
-    else Rvi_hw.Fsm.stay t.fsm
-  | Wait (n, ppn) when n > 0 -> Rvi_hw.Fsm.goto t.fsm (Wait (n - 1, ppn))
-  | Wait (_, ppn) ->
-    if not t.req_valid then
-      failwith "Imu: access state with no latched request";
-    perform_access t ppn;
-    Rvi_hw.Fsm.goto t.fsm Idle
-  | Miss_wait n when n > 0 -> Rvi_hw.Fsm.goto t.fsm (Miss_wait (n - 1))
-  | Miss_wait _ ->
-    if not t.req_valid then
-      failwith "Imu: lookup state with no latched request";
-    enter_fault t
+    else Fsm.stay t.fsm
+  | Wait ->
+    if t.left > 0 then t.left <- t.left - 1
+    else begin
+      if not t.req_valid then
+        failwith "Imu: access state with no latched request";
+      perform_access t t.ppn;
+      Fsm.goto t.fsm Idle
+    end
+  | Miss_wait ->
+    if t.left > 0 then t.left <- t.left - 1
+    else begin
+      if not t.req_valid then
+        failwith "Imu: lookup state with no latched request";
+      enter_fault t
+    end
   | Faulted ->
     Rvi_sim.Stats.tick t.c_stall;
     if t.resume_pending then begin
@@ -540,11 +568,11 @@ let compute t =
         failwith "Imu: resume with no latched request";
       translate_or_fault t
     end
-    else Rvi_hw.Fsm.stay t.fsm
+    else Fsm.stay t.fsm
   end
 
 let commit t =
-  Rvi_hw.Fsm.commit t.fsm;
+  Fsm.commit t.fsm;
   t.port.Cp_port.cp_start <- t.out_start;
   t.port.Cp_port.cp_tlbhit <- t.out_tlbhit;
   if t.out_tlbhit then t.port.Cp_port.cp_din <- t.out_din;
@@ -566,26 +594,22 @@ let idle_hint t =
   else if t.hung then max_int
   else if p.Cp_port.cp_fin <> t.prev_fin then 0
   else
-    match Rvi_hw.Fsm.state t.fsm with
+    match Fsm.state t.fsm with
     | Idle ->
       if t.start_pending || (p.Cp_port.cp_access && not t.fin_seen) then 0
       else max_int
-    | Wait (n, _) -> n
-    | Miss_wait n -> n
+    | Wait | Miss_wait -> t.left
     | Faulted -> if t.resume_pending then 0 else max_int
 
 let skip t k =
   t.cycle <- t.cycle + k;
   if t.hung then Rvi_sim.Stats.tick_by t.c_hang k
   else
-    match Rvi_hw.Fsm.state t.fsm with
+    match Fsm.state t.fsm with
     | Idle -> ()
-    | Wait (n, ppn) ->
+    | Wait | Miss_wait ->
       Rvi_sim.Stats.tick_by t.c_busy k;
-      Rvi_hw.Fsm.fast_forward t.fsm ~transitions:k (Wait (n - k, ppn))
-    | Miss_wait n ->
-      Rvi_sim.Stats.tick_by t.c_busy k;
-      Rvi_hw.Fsm.fast_forward t.fsm ~transitions:k (Miss_wait (n - k))
+      t.left <- t.left - k
     | Faulted ->
       Rvi_sim.Stats.tick_by t.c_busy k;
       Rvi_sim.Stats.tick_by t.c_stall k
@@ -604,18 +628,18 @@ let read_ar t =
 
 let read_sr t =
   Imu_regs.sr_encode
-    ~fault:(Rvi_hw.Fsm.state t.fsm = Faulted)
+    ~fault:(Fsm.state t.fsm = Faulted)
     ~fin:t.fin_seen
-    ~busy:(Rvi_hw.Fsm.state t.fsm <> Idle)
+    ~busy:(Fsm.state t.fsm <> Idle)
     ~params_done:t.params_done
 
 let write_cr t word =
   if Imu_regs.test word Imu_regs.cr_reset then begin
-    Rvi_hw.Fsm.reset t.fsm Idle;
+    Fsm.reset t.fsm Idle;
     t.hung <- false;
     t.walk_errored <- false;
     t.req_valid <- false;
-    t.fault <- None;
+    t.fault_valid <- false;
     t.fin_seen <- false;
     t.prev_fin <- t.port.Cp_port.cp_fin;
     t.params_done <- false;
@@ -636,11 +660,14 @@ let write_cr t word =
    attached). Call after the CP port itself has been reset so the FIN
    level latch starts from the port's quiescent state. *)
 let reset t =
-  Rvi_hw.Fsm.reset t.fsm Idle;
+  Fsm.reset t.fsm Idle;
+  t.left <- 0;
+  t.ppn <- 0;
+  t.search_extra <- 0;
   t.req_valid <- false;
   t.param_page <- None;
   t.params_done <- false;
-  t.fault <- None;
+  t.fault_valid <- false;
   t.fin_seen <- false;
   t.prev_fin <- t.port.Cp_port.cp_fin;
   t.start_pending <- false;
@@ -677,6 +704,8 @@ let reset t =
 
 type context = {
   cx_state : state;
+  cx_left : int;
+  cx_ppn : int;
   cx_req_valid : bool;
   cx_req_obj : int;
   cx_req_addr : int;
@@ -685,7 +714,9 @@ type context = {
   cx_req_width : Cp_port.width;
   cx_param_page : int option;
   cx_params_done : bool;
-  cx_fault : (int * int) option;
+  cx_fault_valid : bool;
+  cx_fault_obj : int;
+  cx_fault_vpn : int;
   cx_fin_seen : bool;
   cx_prev_fin : bool;
   cx_start_pending : bool;
@@ -715,7 +746,9 @@ type context = {
 
 let save_context t =
   {
-    cx_state = Rvi_hw.Fsm.state t.fsm;
+    cx_state = Fsm.state t.fsm;
+    cx_left = t.left;
+    cx_ppn = t.ppn;
     cx_req_valid = t.req_valid;
     cx_req_obj = t.req_obj;
     cx_req_addr = t.req_addr;
@@ -724,7 +757,9 @@ let save_context t =
     cx_req_width = t.req_width;
     cx_param_page = t.param_page;
     cx_params_done = t.params_done;
-    cx_fault = t.fault;
+    cx_fault_valid = t.fault_valid;
+    cx_fault_obj = t.fault_obj;
+    cx_fault_vpn = t.fault_vpn;
     cx_fin_seen = t.fin_seen;
     cx_prev_fin = t.prev_fin;
     cx_start_pending = t.start_pending;
@@ -753,7 +788,9 @@ let save_context t =
   }
 
 let restore_context t cx =
-  Rvi_hw.Fsm.reset t.fsm cx.cx_state;
+  Fsm.reset t.fsm cx.cx_state;
+  t.left <- cx.cx_left;
+  t.ppn <- cx.cx_ppn;
   t.req_valid <- cx.cx_req_valid;
   t.req_obj <- cx.cx_req_obj;
   t.req_addr <- cx.cx_req_addr;
@@ -762,7 +799,9 @@ let restore_context t cx =
   t.req_width <- cx.cx_req_width;
   t.param_page <- cx.cx_param_page;
   t.params_done <- cx.cx_params_done;
-  t.fault <- cx.cx_fault;
+  t.fault_valid <- cx.cx_fault_valid;
+  t.fault_obj <- cx.cx_fault_obj;
+  t.fault_vpn <- cx.cx_fault_vpn;
   t.fin_seen <- cx.cx_fin_seen;
   t.prev_fin <- cx.cx_prev_fin;
   t.start_pending <- cx.cx_start_pending;
@@ -814,12 +853,12 @@ let page_table t = t.page_table
 
 let sva_invalidate t ~vpn =
   let drop tlb =
-    match Tlb.lookup tlb ~obj_id:sva_asid ~vpn with
-    | Tlb.Hit slot ->
-      let dirty = (Tlb.get tlb ~slot).Tlb.dirty in
-      Tlb.invalidate tlb ~slot;
-      dirty
-    | Tlb.Miss -> false
+    let slot = Tlb.lookup tlb ~obj_id:sva_asid ~vpn in
+    slot >= 0
+    &&
+    let dirty = (Tlb.get tlb ~slot).Tlb.dirty in
+    Tlb.invalidate tlb ~slot;
+    dirty
   in
   let d1 = drop t.tlb in
   let d2 = match t.l2 with Some l2 -> drop l2 | None -> false in
@@ -828,7 +867,10 @@ let sva_invalidate t ~vpn =
 let set_trace t probe = t.trace <- probe
 let set_injector t inj = t.injector <- inj
 let hung t = t.hung
-let fault t = if Rvi_hw.Fsm.state t.fsm = Faulted then t.fault else None
+let fault t =
+  if Fsm.state t.fsm = Faulted && t.fault_valid then
+    Some (t.fault_obj, t.fault_vpn)
+  else None
 let params_done t = t.params_done
 let finished t = t.fin_seen
 let cycle t = t.cycle

@@ -63,48 +63,64 @@ let organization t = t.organization
 (* The index hash a hardware TLB would compute from the tag bits. *)
 let hash ~obj_id ~vpn = (vpn lxor (obj_id * 7)) land max_int
 
-let way_slots t ~obj_id ~vpn =
+(* The candidate ways of a translation are the contiguous slot range
+   [way_first, way_first + ways): every slot for the CAM, the hashed slot
+   for a direct-mapped TLB, the hashed set for an n-way one. *)
+let ways t =
+  match t.organization with
+  | Fully_associative -> Array.length t.slots
+  | Direct_mapped -> 1
+  | Set_associative ways -> ways
+
+let way_first t ~obj_id ~vpn =
   let n = Array.length t.slots in
   match t.organization with
-  | Fully_associative -> List.init n (fun i -> i)
-  | Direct_mapped -> [ hash ~obj_id ~vpn mod n ]
-  | Set_associative ways ->
-    let sets = n / ways in
-    let set = hash ~obj_id ~vpn mod sets in
-    List.init ways (fun w -> (set * ways) + w)
+  | Fully_associative -> 0
+  | Direct_mapped -> hash ~obj_id ~vpn mod n
+  | Set_associative ways -> hash ~obj_id ~vpn mod (n / ways) * ways
+
+(* The scans below are top-level loops over that range: they build no
+   list and no closure, because [lookup] runs on every TLB miss of the
+   per-access path and the refill scans on every hardware refill. *)
+
+let[@inline] matches e ~obj_id ~vpn = e.valid && e.obj_id = obj_id && e.vpn = vpn
+
+let rec scan slots ~obj_id ~vpn i stop =
+  if i >= stop then -1
+  else if matches (Array.unsafe_get slots i) ~obj_id ~vpn then i
+  else scan slots ~obj_id ~vpn (i + 1) stop
+
+let lookup t ~obj_id ~vpn =
+  let first = way_first t ~obj_id ~vpn in
+  scan t.slots ~obj_id ~vpn first (first + ways t)
+
+let rec scan_free slots i stop =
+  if i >= stop then -1
+  else if not (Array.unsafe_get slots i).valid then i
+  else scan_free slots (i + 1) stop
 
 let free_way_slot t ~obj_id ~vpn =
-  List.find_opt
-    (fun slot -> not t.slots.(slot).valid)
-    (way_slots t ~obj_id ~vpn)
+  let first = way_first t ~obj_id ~vpn in
+  scan_free t.slots first (first + ways t)
 
-type lookup = Hit of int | Miss
-
-(* Per-access path: scan the candidate ways without materialising the
-   [way_slots] list (this runs on every coprocessor memory access). *)
-let lookup t ~obj_id ~vpn =
-  let slots = t.slots in
-  let matches i =
-    let e = slots.(i) in
-    e.valid && e.obj_id = obj_id && e.vpn = vpn
-  in
-  let rec scan i stop = if i >= stop then Miss else if matches i then Hit i else scan (i + 1) stop in
-  match t.organization with
-  | Fully_associative -> scan 0 (Array.length slots)
-  | Direct_mapped ->
-    let i = hash ~obj_id ~vpn mod Array.length slots in
-    if matches i then Hit i else Miss
-  | Set_associative ways ->
-    let sets = Array.length slots / ways in
-    let set = hash ~obj_id ~vpn mod sets in
-    scan (set * ways) ((set * ways) + ways)
+let lru_way_slot t ~obj_id ~vpn =
+  let first = way_first t ~obj_id ~vpn in
+  let best = ref (-1) and best_stamp = ref max_int in
+  for s = first to first + ways t - 1 do
+    let e = t.slots.(s) in
+    if e.valid && e.last_access < !best_stamp then begin
+      best := s;
+      best_stamp := e.last_access
+    end
+  done;
+  !best
 
 let[@inline] hit t e ~stamp ~wr =
   if wr then e.dirty <- true;
   e.referenced <- true;
   e.last_access <- stamp;
   Rvi_sim.Stats.tick t.c_hits;
-  Some e.ppn
+  e.ppn
 
 let translate t ~obj_id ~vpn ~stamp ~wr =
   (* Page-run fast path: re-check the memoised slot before scanning. Sound
@@ -113,26 +129,19 @@ let translate t ~obj_id ~vpn ~stamp ~wr =
      find this same slot; the entry-side effects and stat ticks below are
      the ones the scan path performs, keeping reports bit-identical. *)
   let m = t.mru in
-  if m >= 0 then begin
-    let e = Array.unsafe_get t.slots m in
-    if e.valid && e.obj_id = obj_id && e.vpn = vpn then hit t e ~stamp ~wr
-    else
-      match lookup t ~obj_id ~vpn with
-      | Miss ->
-        Rvi_sim.Stats.tick t.c_misses;
-        None
-      | Hit i ->
-        t.mru <- i;
-        hit t t.slots.(i) ~stamp ~wr
-  end
-  else
-    match lookup t ~obj_id ~vpn with
-    | Miss ->
+  if m >= 0 && matches (Array.unsafe_get t.slots m) ~obj_id ~vpn then
+    hit t (Array.unsafe_get t.slots m) ~stamp ~wr
+  else begin
+    let i = lookup t ~obj_id ~vpn in
+    if i < 0 then begin
       Rvi_sim.Stats.tick t.c_misses;
-      None
-    | Hit i ->
+      -1
+    end
+    else begin
       t.mru <- i;
-      hit t t.slots.(i) ~stamp ~wr
+      hit t (Array.unsafe_get t.slots i) ~stamp ~wr
+    end
+  end
 
 let check_slot t slot op =
   if slot < 0 || slot >= Array.length t.slots then

@@ -36,19 +36,28 @@ val create : ?organization:organization -> entries:int -> unit -> t
 val entries : t -> int
 val organization : t -> organization
 
-val way_slots : t -> obj_id:int -> vpn:int -> int list
-(** The slots allowed to hold this translation under the TLB's
-    organisation (all of them for the CAM). Refills must pick among
-    these. *)
+(** {1 Candidate ways}
 
-type lookup = Hit of int (* slot *) | Miss
+    The slots allowed to hold a translation under the TLB's organisation
+    form the contiguous range [[way_first t ~obj_id ~vpn, way_first t
+    ~obj_id ~vpn + ways t)]: all of them for the CAM, one for a
+    direct-mapped TLB, one set for an n-way one. Refills must pick among
+    these. Slot searches answer with a slot index, or -1 for none, so the
+    per-access path allocates nothing. *)
 
-val lookup : t -> obj_id:int -> vpn:int -> lookup
-(** CAM match on the upper address bits. Does not touch usage metadata. *)
+val ways : t -> int
+(** Number of candidate ways per translation. *)
 
-val translate : t -> obj_id:int -> vpn:int -> stamp:int -> wr:bool -> int option
+val way_first : t -> obj_id:int -> vpn:int -> int
+(** First candidate slot of a translation. *)
+
+val lookup : t -> obj_id:int -> vpn:int -> int
+(** CAM match on the upper address bits: the matching slot, or -1. Does
+    not touch usage metadata. *)
+
+val translate : t -> obj_id:int -> vpn:int -> stamp:int -> wr:bool -> int
 (** Hardware access path: on a hit returns the physical page and updates
-    the dirty/reference/stamp metadata.
+    the dirty/reference/stamp metadata; -1 on a miss.
 
     Internally memoises the slot of the last successful translation (the
     page-run fast path): a streaming access that stays on one page is
@@ -66,8 +75,13 @@ val insert : t -> slot:int -> obj_id:int -> vpn:int -> ppn:int -> stamp:int -> u
 val free_slot : t -> int option
 (** An invalid slot, if any. *)
 
-val free_way_slot : t -> obj_id:int -> vpn:int -> int option
-(** An invalid slot among {!way_slots}, if any. *)
+val free_way_slot : t -> obj_id:int -> vpn:int -> int
+(** The first invalid candidate slot, or -1. *)
+
+val lru_way_slot : t -> obj_id:int -> vpn:int -> int
+(** The valid candidate slot with the oldest usage stamp (the lowest
+    slot on a tie), or -1 if there is none: the refill victim when
+    {!free_way_slot} finds no room. *)
 
 val slot_of_ppn : t -> ppn:int -> int option
 (** The valid slot translating to a physical page, if any. *)

@@ -1,37 +1,40 @@
-type 'a t = {
-  fsm_name : string;
-  reg : 'a Reg.t;
-  show_fn : 'a -> string;
-  mutable transitions : int;
-}
+module type STATE = sig
+  type t [@@immediate]
 
-let create ~name ~init ~show =
-  { fsm_name = name; reg = Reg.create init; show_fn = show; transitions = 0 }
+  val show : t -> string
+end
 
-let[@inline] state t = Reg.get t.reg
-let[@inline] goto t s = Reg.set t.reg s
-let[@inline] stay t = Reg.set t.reg (Reg.get t.reg)
+module Make (S : STATE) = struct
+  (* [S.t] is immediate, so the two state registers below are written with
+     plain stores: no [caml_modify] write barrier, no allocation. A
+     polymorphic ['a Reg.t] would pay the barrier on every [goto]/[commit]
+     whatever the state type, because the compiler cannot know that ['a]
+     holds no pointer. *)
+  type t = {
+    fsm_name : string;
+    mutable cur : S.t;
+    mutable next : S.t;
+    mutable transitions : int;
+  }
 
-let commit t =
-  let before = Reg.get t.reg in
-  Reg.commit t.reg;
-  let after = Reg.get t.reg in
-  (* Physical inequality only: [stay] keeps the very same value, a [goto]
-     installs a new one. A structural [<>] would be a polymorphic-compare
-     C call on every state change, for a count nothing in the model
-     reads. *)
-  if after != before then t.transitions <- t.transitions + 1
+  let create ~name ~init = { fsm_name = name; cur = init; next = init; transitions = 0 }
+  let[@inline] state t = t.cur
+  let[@inline] goto t s = t.next <- s
+  let[@inline] stay t = t.next <- t.cur
 
-(* Idle fast-forward support: land the machine directly in the state it
-   would have reached after [transitions] skipped commits, counting those
-   commits' activity. Both register views are set — the skipped window ends
-   outside any compute/commit pair. *)
-let fast_forward t ~transitions s =
-  if transitions < 0 then invalid_arg "Fsm.fast_forward: negative transitions";
-  Reg.reset t.reg s;
-  t.transitions <- t.transitions + transitions
+  (* Physical comparison is exact on immediates, and unlike [<>] on an
+     abstract type it is not a polymorphic-compare C call. *)
+  let[@inline] commit t =
+    if t.next != t.cur then begin
+      t.cur <- t.next;
+      t.transitions <- t.transitions + 1
+    end
 
-let reset t s = Reg.reset t.reg s
-let name t = t.fsm_name
-let show t = t.show_fn (Reg.get t.reg)
-let transitions t = t.transitions
+  let reset t s =
+    t.cur <- s;
+    t.next <- s
+
+  let name t = t.fsm_name
+  let show t = S.show t.cur
+  let transitions t = t.transitions
+end

@@ -1,43 +1,54 @@
 (** Finite-state-machine scaffolding.
 
-    A thin layer over {!Reg} that names the machine, exposes the current
+    A two-phase state register that names the machine, exposes the current
     state during the compute phase, and renders states for waveform and log
-    output. Coprocessor and IMU control paths are written as [Fsm]s. *)
+    output. Coprocessor and IMU control paths are written as [Fsm]s.
 
-type 'a t
+    States are immediate values (constant constructors): a machine's
+    per-state data — a countdown, a byte index, a resolved page — lives in
+    plain mutable [int]/[bool] fields of the component that owns it, never
+    in a constructor payload. That keeps every clock edge free of
+    allocation and of the [caml_modify] write barrier a boxed or
+    polymorphic state register pays on each store (see DESIGN.md §10). *)
 
-val create : name:string -> init:'a -> show:('a -> string) -> 'a t
+module type STATE = sig
+  type t [@@immediate]
+  (** Only constant constructors (or ints): the [[@@immediate]]
+      annotation is what lets {!Make} store states without a write
+      barrier, and the compiler rejects a state type with a payload. *)
 
-val state : 'a t -> 'a
-(** Committed (pre-edge) state — what combinational logic sees. *)
+  val show : t -> string
+end
 
-val goto : 'a t -> 'a -> unit
-(** Selects the state entered at the next commit. *)
+module Make (S : STATE) : sig
+  type t
 
-val stay : 'a t -> unit
-(** Explicitly keep the current state (equivalent to [goto m (state m)]). *)
+  val create : name:string -> init:S.t -> t
 
-val commit : 'a t -> unit
+  val state : t -> S.t
+  (** Committed (pre-edge) state — what combinational logic sees. *)
 
-val reset : 'a t -> 'a -> unit
+  val goto : t -> S.t -> unit
+  (** Selects the state entered at the next commit. *)
 
-val fast_forward : 'a t -> transitions:int -> 'a -> unit
-(** [fast_forward m ~transitions s] applies the aggregate effect of a
-    skipped idle span in one step: the machine lands in [s] (both register
-    views, as between edges) and {!transitions} is advanced by the number
-    of state-changing commits the span would have performed. Used by
-    components implementing the {!Rvi_sim.Clock.component} [skip]
-    contract for countdown states. *)
+  val stay : t -> unit
+  (** Explicitly keep the current state (equivalent to [goto m (state m)]). *)
 
-val name : 'a t -> string
+  val commit : t -> unit
 
-val show : 'a t -> string
-(** Rendering of the committed state. *)
+  val reset : t -> S.t -> unit
+  (** Forces both register views (asynchronous reset). *)
 
-val transitions : 'a t -> int
-(** Number of commits that installed a physically different state value
-    (machine activity measure). A {!stay} commit never counts; a {!goto}
-    counts unless it passes the very value already held, so for boxed
-    states a [goto] to a freshly built value counts even when it is
-    structurally equal to the current state. Immediate states (constant
-    constructors, ints) count exactly the commits that change the state. *)
+  val name : t -> string
+
+  val show : t -> string
+  (** Rendering of the committed state. *)
+
+  val transitions : t -> int
+  (** Number of commits that changed the state (machine activity
+      measure). A {!stay}, or a {!goto} of the state already held, never
+      counts. Updates of a component's payload fields (a countdown
+      ticking down inside one state) are not state changes, so an idle
+      span a component skips through its payload needs no adjustment
+      here. *)
+end

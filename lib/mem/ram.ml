@@ -1,16 +1,41 @@
-type t = { data : Bytes.t }
+(* Lazily backed: [data] holds the first [Bytes.length data] bytes of the
+   [size]-byte memory, and every byte past it is zero. The backing
+   starts at [initial_backing] and doubles (zero-filled) when an access
+   first reaches past it, so a large, mostly untouched memory — the 16 MB
+   SDRAM of every platform — costs neither a 16 MB zero-fill at creation
+   nor the heap to hold it. *)
+type t = { size : int; mutable data : Bytes.t }
+
+let initial_backing = 64 * 1024
 
 let create ~size =
   if size <= 0 then invalid_arg "Ram.create: non-positive size";
-  { data = Bytes.make size '\000' }
+  { size; data = Bytes.make (min size initial_backing) '\000' }
 
-let size t = Bytes.length t.data
+let size t = t.size
 
-let check t addr bytes op =
-  if addr < 0 || addr + bytes > Bytes.length t.data then
+let grow t limit =
+  let old = Bytes.length t.data in
+  let n = ref old in
+  while !n < limit do
+    n := 2 * !n
+  done;
+  let data = Bytes.make (min !n t.size) '\000' in
+  Bytes.blit t.data 0 data 0 old;
+  t.data <- data
+
+(* The cold half of [check], kept out of line so the inlined accessors
+   stay a compare and a load. *)
+let[@inline never] grow_or_fail t addr bytes op =
+  if addr < 0 || addr + bytes > t.size then
     invalid_arg
       (Printf.sprintf "Ram.%s: address %#x (+%d) out of [0, %#x)" op addr bytes
-         (Bytes.length t.data))
+         t.size)
+  else grow t (addr + bytes)
+
+let[@inline] check t addr bytes op =
+  if addr < 0 || addr + bytes > Bytes.length t.data then
+    grow_or_fail t addr bytes op
 
 let read8 t addr =
   check t addr 1 "read8";

@@ -6,7 +6,10 @@
 type t
 
 val create : size:int -> t
-(** Zero-initialised memory of [size] bytes. *)
+(** Zero-initialised memory of [size] bytes. The host storage behind it
+    starts small and grows on first touch past it, so creating a large
+    memory is cheap; contents and errors are those of a memory allocated
+    in full. *)
 
 val size : t -> int
 

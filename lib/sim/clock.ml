@@ -174,6 +174,9 @@ let run_edge t =
   done;
   not !executed
 
+(* Number of cycles in [0, n] on which a slot ticks. *)
+let cnt_upto s n = if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
+
 (* Idle fast-forward. After an edge, ask every slot how many of its own
    upcoming ticks are provably no-ops (given inputs frozen — nothing else
    executes inside the batch window). The clock jumps straight to the
@@ -246,10 +249,7 @@ let plan_skip t ~now_ps ~h_ps ~peek_ps =
     else
       for j = 0 to t.n_slots - 1 do
         let s = Array.unsafe_get t.slots j in
-        let cnt_upto n =
-          if n < s.phase then 0 else ((n - s.phase) / s.divide) + 1
-        in
-        let k = cnt_upto (tgt - 1) - cnt_upto (c - 1) in
+        let k = cnt_upto s (tgt - 1) - cnt_upto s (c - 1) in
         if k > 0 then
           match s.comp.skip with Some f -> f k | None -> assert false
       done;

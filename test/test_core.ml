@@ -47,11 +47,9 @@ let test_sr_bits () =
 let test_tlb_basic () =
   let tlb = Tlb.create ~entries:4 () in
   checki "entries" 4 (Tlb.entries tlb);
-  checkb "initially empty" true (Tlb.lookup tlb ~obj_id:0 ~vpn:0 = Tlb.Miss);
+  checki "initially empty" (-1) (Tlb.lookup tlb ~obj_id:0 ~vpn:0);
   Tlb.insert tlb ~slot:1 ~obj_id:3 ~vpn:7 ~ppn:5 ~stamp:0;
-  (match Tlb.lookup tlb ~obj_id:3 ~vpn:7 with
-  | Tlb.Hit 1 -> ()
-  | Tlb.Hit _ | Tlb.Miss -> Alcotest.fail "lookup miss");
+  checki "lookup hit" 1 (Tlb.lookup tlb ~obj_id:3 ~vpn:7);
   checkb "ppn reverse lookup" true (Tlb.slot_of_ppn tlb ~ppn:5 = Some 1);
   checkb "free slot exists" true (Tlb.free_slot tlb = Some 0);
   checki "valid count" 1 (Tlb.valid_count tlb)
@@ -61,12 +59,12 @@ let test_tlb_translate_metadata () =
   Tlb.insert tlb ~slot:0 ~obj_id:1 ~vpn:2 ~ppn:3 ~stamp:0;
   let e = Tlb.get tlb ~slot:0 in
   checkb "clean after insert" true ((not e.Tlb.dirty) && not e.Tlb.referenced);
-  checkb "read hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:11 ~wr:false = Some 3);
+  checki "read hit" 3 (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:11 ~wr:false);
   checkb "referenced set, clean kept" true (e.Tlb.referenced && not e.Tlb.dirty);
   checki "stamp" 11 e.Tlb.last_access;
-  checkb "write hit" true (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:12 ~wr:true = Some 3);
+  checki "write hit" 3 (Tlb.translate tlb ~obj_id:1 ~vpn:2 ~stamp:12 ~wr:true);
   checkb "dirty after write" true e.Tlb.dirty;
-  checkb "miss" true (Tlb.translate tlb ~obj_id:1 ~vpn:9 ~stamp:13 ~wr:false = None);
+  checki "miss" (-1) (Tlb.translate tlb ~obj_id:1 ~vpn:9 ~stamp:13 ~wr:false);
   checki "hit count" 2 (Rvi_sim.Stats.get (Tlb.stats tlb) "hits");
   checki "miss count" 1 (Rvi_sim.Stats.get (Tlb.stats tlb) "misses");
   Tlb.clear_referenced tlb ~slot:0;
@@ -77,7 +75,7 @@ let test_tlb_invalidate () =
   Tlb.insert tlb ~slot:0 ~obj_id:0 ~vpn:0 ~ppn:0 ~stamp:0;
   Tlb.insert tlb ~slot:1 ~obj_id:0 ~vpn:1 ~ppn:1 ~stamp:0;
   Tlb.invalidate tlb ~slot:0;
-  checkb "gone" true (Tlb.lookup tlb ~obj_id:0 ~vpn:0 = Tlb.Miss);
+  checki "gone" (-1) (Tlb.lookup tlb ~obj_id:0 ~vpn:0);
   Tlb.invalidate_all tlb;
   checki "all invalid" 0 (Tlb.valid_count tlb);
   checki "invalidations counted" 2
@@ -657,19 +655,26 @@ let suite = suite @ stub_suite
 
 let test_tlb_organizations () =
   let dm = Tlb.create ~organization:Tlb.Direct_mapped ~entries:8 () in
-  checki "direct-mapped has one way" 1
-    (List.length (Tlb.way_slots dm ~obj_id:1 ~vpn:5));
+  checki "direct-mapped has one way" 1 (Tlb.ways dm);
   let sa = Tlb.create ~organization:(Tlb.Set_associative 2) ~entries:8 () in
-  checki "2-way has two slots" 2 (List.length (Tlb.way_slots sa ~obj_id:1 ~vpn:5));
+  checki "2-way has two slots" 2 (Tlb.ways sa);
+  checki "2-way set starts on an even slot" 0
+    (Tlb.way_first sa ~obj_id:1 ~vpn:5 mod 2);
   let fa = Tlb.create ~entries:8 () in
-  checki "cam allows all slots" 8 (List.length (Tlb.way_slots fa ~obj_id:1 ~vpn:5));
+  checki "cam allows all slots" 8 (Tlb.ways fa);
+  checki "cam ways start at slot 0" 0 (Tlb.way_first fa ~obj_id:1 ~vpn:5);
   (* A translation inserted in its way is found; one placed elsewhere is
      invisible to the indexed lookup, like real hardware. *)
-  let slot = List.hd (Tlb.way_slots dm ~obj_id:3 ~vpn:9) in
+  let slot = Tlb.way_first dm ~obj_id:3 ~vpn:9 in
   Tlb.insert dm ~slot ~obj_id:3 ~vpn:9 ~ppn:1 ~stamp:0;
-  checkb "hit in its way" true (Tlb.lookup dm ~obj_id:3 ~vpn:9 = Tlb.Hit slot);
-  checkb "free way slot reported" true
-    (Tlb.free_way_slot dm ~obj_id:3 ~vpn:9 = None);
+  checki "hit in its way" slot (Tlb.lookup dm ~obj_id:3 ~vpn:9);
+  checki "free way slot reported" (-1) (Tlb.free_way_slot dm ~obj_id:3 ~vpn:9);
+  checki "lru way slot is the only way" slot
+    (Tlb.lru_way_slot dm ~obj_id:3 ~vpn:9);
+  Tlb.insert dm ~slot:((slot + 1) mod 8) ~obj_id:3 ~vpn:9 ~ppn:2 ~stamp:0;
+  Tlb.invalidate dm ~slot;
+  checki "a copy outside the way is not found" (-1)
+    (Tlb.lookup dm ~obj_id:3 ~vpn:9);
   Alcotest.check_raises "ways must divide entries"
     (Invalid_argument "Tlb.create: ways must divide the entry count")
     (fun () -> ignore (Tlb.create ~organization:(Tlb.Set_associative 3) ~entries:8 ()))
@@ -840,14 +845,32 @@ let suite = suite @ edge_suite
    memo — reports just before it, and the hit/miss counters must advance
    accordingly. *)
 
+let tlb_org_of = function
+  | 0 -> Tlb.Fully_associative
+  | 1 -> Tlb.Direct_mapped
+  | _ -> Tlb.Set_associative 2
+
+(* One translate checked against the scan-only [lookup] taken just before
+   it: same page (or -1), the matching hit/miss counter advanced by one,
+   and a hit's usage stamp updated. *)
+let translate_matches_scan tlb ~obj_id ~vpn ~stamp ~wr =
+  let scan = Tlb.lookup tlb ~obj_id ~vpn in
+  let hits0 = Rvi_sim.Stats.get (Tlb.stats tlb) "hits" in
+  let misses0 = Rvi_sim.Stats.get (Tlb.stats tlb) "misses" in
+  let got = Tlb.translate tlb ~obj_id ~vpn ~stamp ~wr in
+  let hits1 = Rvi_sim.Stats.get (Tlb.stats tlb) "hits" in
+  let misses1 = Rvi_sim.Stats.get (Tlb.stats tlb) "misses" in
+  if scan >= 0 then
+    let e = Tlb.get tlb ~slot:scan in
+    got = e.Tlb.ppn
+    && hits1 = hits0 + 1
+    && misses1 = misses0
+    && e.Tlb.last_access = stamp
+  else got = -1 && misses1 = misses0 + 1 && hits1 = hits0
+
 let prop_tlb_memo_matches_scan =
   (* op encoding: 0-5 translate, 6-7 insert, 8 invalidate slot,
      9 invalidate_all — translate-heavy so page runs actually form *)
-  let org_of = function
-    | 0 -> Tlb.Fully_associative
-    | 1 -> Tlb.Direct_mapped
-    | _ -> Tlb.Set_associative 2
-  in
   QCheck.Test.make
     ~name:"tlb translate (memoised) agrees with scan-only lookup under \
            random op interleavings"
@@ -857,7 +880,7 @@ let prop_tlb_memo_matches_scan =
         (list_of_size Gen.(int_range 20 120) (int_bound 0x3FFFFFFF)))
     (fun (orgsel, entsel, ops) ->
       let entries = 4 lsl entsel in
-      let tlb = Tlb.create ~organization:(org_of orgsel) ~entries () in
+      let tlb = Tlb.create ~organization:(tlb_org_of orgsel) ~entries () in
       let stamp = ref 0 in
       let ok = ref true in
       List.iter
@@ -867,36 +890,15 @@ let prop_tlb_memo_matches_scan =
           let obj_id = op lsr 4 land 3 in
           let vpn = op lsr 6 land 7 in
           if kind <= 5 then begin
-            let scan = Tlb.lookup tlb ~obj_id ~vpn in
-            let hits0 = Rvi_sim.Stats.get (Tlb.stats tlb) "hits" in
-            let misses0 = Rvi_sim.Stats.get (Tlb.stats tlb) "misses" in
-            let got =
-              Tlb.translate tlb ~obj_id ~vpn ~stamp:!stamp ~wr:(op land 1 = 1)
-            in
-            let hits1 = Rvi_sim.Stats.get (Tlb.stats tlb) "hits" in
-            let misses1 = Rvi_sim.Stats.get (Tlb.stats tlb) "misses" in
-            match scan with
-            | Tlb.Hit slot ->
-              let e = Tlb.get tlb ~slot in
-              if
-                got <> Some e.Tlb.ppn
-                || hits1 <> hits0 + 1
-                || misses1 <> misses0
-                || e.Tlb.last_access <> !stamp
-              then ok := false
-            | Tlb.Miss ->
-              if got <> None || misses1 <> misses0 + 1 || hits1 <> hits0 then
-                ok := false
+            if
+              not
+                (translate_matches_scan tlb ~obj_id ~vpn ~stamp:!stamp
+                   ~wr:(op land 1 = 1))
+            then ok := false
           end
           else if kind <= 7 then begin
-            let slot =
-              match Tlb.free_way_slot tlb ~obj_id ~vpn with
-              | Some s -> s
-              | None -> (
-                match Tlb.way_slots tlb ~obj_id ~vpn with
-                | s :: _ -> s
-                | [] -> 0)
-            in
+            let free = Tlb.free_way_slot tlb ~obj_id ~vpn in
+            let slot = if free >= 0 then free else Tlb.way_first tlb ~obj_id ~vpn in
             Tlb.insert tlb ~slot ~obj_id ~vpn ~ppn:(op lsr 9 land 7)
               ~stamp:!stamp
           end
@@ -906,7 +908,57 @@ let prop_tlb_memo_matches_scan =
         ops;
       !ok)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_tlb_memo_matches_scan ]
+(* Interleaved multi-object streams: [k] objects are read round-robin,
+   each streaming through its own pages, so consecutive translates never
+   share a key and every one of them misses the MRU memo — the scan path.
+   A miss is refilled the way the VIM does it (a free way, else the LRU
+   way) and the access retried, which must then hit. *)
+let prop_tlb_interleaved_matches_scan =
+  QCheck.Test.make
+    ~name:"tlb translate agrees with scan-only lookup on interleaved \
+           multi-object streams"
+    ~count:60
+    QCheck.(
+      quad (int_bound 2) (int_bound 3) (int_range 2 4)
+        (pair (int_range 1 6) (int_range 20 200)))
+    (fun (orgsel, entsel, k, (run, steps)) ->
+      let entries = 4 lsl entsel in
+      let tlb = Tlb.create ~organization:(tlb_org_of orgsel) ~entries () in
+      let ok = ref true in
+      let refills = ref 0 in
+      for j = 0 to steps - 1 do
+        let obj_id = j mod k in
+        (* each object advances one page every [run] of its own accesses *)
+        let vpn = (obj_id * 16) + (j / k / run) in
+        let stamp = (2 * j) + 1 in
+        let wr = j land 2 <> 0 in
+        if not (translate_matches_scan tlb ~obj_id ~vpn ~stamp ~wr) then
+          ok := false;
+        if Tlb.lookup tlb ~obj_id ~vpn < 0 then begin
+          incr refills;
+          let free = Tlb.free_way_slot tlb ~obj_id ~vpn in
+          let slot =
+            if free >= 0 then free else Tlb.lru_way_slot tlb ~obj_id ~vpn
+          in
+          Tlb.insert tlb ~slot ~obj_id ~vpn ~ppn:(j land 15) ~stamp;
+          if
+            Tlb.lookup tlb ~obj_id ~vpn <> slot
+            || not
+                 (translate_matches_scan tlb ~obj_id ~vpn ~stamp:(stamp + 1) ~wr)
+          then ok := false
+        end
+      done;
+      let stats = Tlb.stats tlb in
+      !ok
+      && Rvi_sim.Stats.get stats "refills" = !refills
+      && Rvi_sim.Stats.get stats "misses" = !refills)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_tlb_memo_matches_scan;
+      QCheck_alcotest.to_alcotest prop_tlb_interleaved_matches_scan;
+    ]
 
 (* {1 Replacement-stream independence (injection must not perturb victims)}
 

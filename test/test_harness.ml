@@ -1264,3 +1264,80 @@ let test_registry_minimum_size () =
 let suite =
   suite
   @ [ Alcotest.test_case "registry/minimum-size" `Quick test_registry_minimum_size ]
+
+(* {1 Allocation on the edge path}
+
+   A clock edge of the paper-mode stack allocates nothing: FSM states are
+   immediate values, the TLB answers with ints, the IDEA pipeline is
+   flat. What a warm execution still allocates is per fault, per copy and
+   per syscall, not per edge, so minor words per executed event stay far
+   below one. The count is deterministic (no timing enters it): the run is
+   the second one on a pooled platform, so first-touch growth of hash
+   tables and lazily backed memories is out of the window. *)
+
+let execute_words_per_event kind =
+  let module Jobs = Rvi_harness.Jobs in
+  let cfg = cfg () in
+  let spec = Jobs.spec kind in
+  let input = Jobs.generate kind ~seed:11 ~bytes:8192 in
+  let params = Jobs.params input in
+  let pool = Platform.Pool.create () in
+  let ok what = function
+    | Ok () -> ()
+    | Error e ->
+      Alcotest.failf "%s: %s failed: %s" spec.Jobs.label what
+        (Rvi_os.Syscall.errno_name e)
+  in
+  let run () =
+    let p =
+      Platform.Pool.acquire pool ~key:spec.Jobs.label cfg ~create:(fun () ->
+          Platform.create ~app_name:spec.Jobs.label cfg
+            ~bitstream:spec.Jobs.bitstream ~make:spec.Jobs.make_virtual)
+    in
+    let api = p.Platform.api in
+    let bufs = Jobs.alloc p.Platform.kernel (Jobs.objects input) in
+    ok "FPGA_LOAD" (Api.fpga_load api spec.Jobs.bitstream);
+    List.iter
+      (fun ((o : Jobs.obj), buf) ->
+        ok "FPGA_MAP_OBJECT"
+          (Api.fpga_map_object api ~id:o.Jobs.id ~buf ~dir:o.Jobs.dir
+             ~stream:o.Jobs.stream ()))
+      bufs;
+    let engine = p.Platform.engine in
+    let e0 = Rvi_sim.Engine.events_processed engine in
+    let w0 = Gc.minor_words () in
+    ok "FPGA_EXECUTE" (Api.fpga_execute api ~params);
+    let words = Gc.minor_words () -. w0 in
+    let events = Rvi_sim.Engine.events_processed engine - e0 in
+    let read id =
+      Rvi_os.Uspace.read p.Platform.kernel
+        (snd (List.find (fun ((o : Jobs.obj), _) -> o.Jobs.id = id) bufs))
+    in
+    checkb (spec.Jobs.label ^ " verified") true
+      (Jobs.verify (Jobs.reference input) read);
+    Platform.Pool.stash pool ~key:spec.Jobs.label p;
+    words /. float_of_int events
+  in
+  ignore (run () : float);
+  run ()
+
+(* Bounds pinned over the measured 8 KB figures (x86-64, OCaml 5.1):
+   ADPCM 0.14, IDEA 0.68 (its block transform builds tuples once per
+   block), FIR 0.08, vecadd 0.15 words per event. With boxed FSM states
+   and option-returning translation the same runs cost 6.4, 11.9, 6.6
+   and 7.1; one boxed value per coprocessor access (an IMU access is
+   about 4.4 events) already exceeds the 0.25 bounds. *)
+let edge_path_bounds =
+  Rvi_harness.Jobs.[ (Adpcm, 0.25); (Idea, 1.0); (Fir, 0.25); (Vecadd, 0.25) ]
+
+let test_edge_path_alloc () =
+  List.iter
+    (fun (kind, bound) ->
+      let w = execute_words_per_event kind in
+      if w > bound then
+        Alcotest.failf "%s: %.3f minor words per executed event (bound %.2f)"
+          (Rvi_harness.Jobs.app_name kind) w bound)
+    edge_path_bounds
+
+let suite =
+  suite @ [ Alcotest.test_case "alloc/edge-path" `Quick test_edge_path_alloc ]

@@ -119,55 +119,56 @@ let test_reg () =
 
 type st = A | B | C
 
-let show_st = function A -> "A" | B -> "B" | C -> "C"
+module M = Fsm.Make (struct
+  type t = st
+
+  let show = function A -> "A" | B -> "B" | C -> "C"
+end)
 
 let test_fsm () =
-  let m = Fsm.create ~name:"m" ~init:A ~show:show_st in
-  checkb "init" true (Fsm.state m = A);
-  Fsm.goto m B;
-  checkb "pre-commit" true (Fsm.state m = A);
-  Fsm.commit m;
-  checkb "post-commit" true (Fsm.state m = B);
-  checki "transitions" 1 (Fsm.transitions m);
-  Fsm.stay m;
-  Fsm.commit m;
-  checki "stay is not a transition" 1 (Fsm.transitions m);
-  Alcotest.(check string) "show" "B" (Fsm.show m);
-  Alcotest.(check string) "name" "m" (Fsm.name m);
-  Fsm.goto m C;
-  Fsm.commit m;
-  checki "second transition" 2 (Fsm.transitions m);
-  Fsm.reset m A;
-  checkb "reset" true (Fsm.state m = A)
+  let m = M.create ~name:"m" ~init:A in
+  checkb "init" true (M.state m = A);
+  M.goto m B;
+  checkb "pre-commit" true (M.state m = A);
+  M.commit m;
+  checkb "post-commit" true (M.state m = B);
+  checki "transitions" 1 (M.transitions m);
+  M.stay m;
+  M.commit m;
+  checki "stay is not a transition" 1 (M.transitions m);
+  M.goto m (M.state m);
+  M.commit m;
+  checki "goto of the held state is not a transition" 1 (M.transitions m);
+  Alcotest.(check string) "show" "B" (M.show m);
+  Alcotest.(check string) "name" "m" (M.name m);
+  M.goto m C;
+  M.commit m;
+  checki "second transition" 2 (M.transitions m);
+  M.goto m A;
+  M.reset m C;
+  checkb "reset" true (M.state m = C);
+  M.commit m;
+  checkb "reset overrides a pending goto" true (M.state m = C);
+  checki "reset is not a transition" 2 (M.transitions m)
 
-(* [transitions] counts commits that install a physically different
-   value: for a boxed state a [goto] to a freshly built value counts even
-   when it is structurally equal to the current one, while [stay] (and a
-   [goto] of the value already held) does not. *)
-type boxed = Count of int
-
-let test_fsm_boxed_transitions () =
-  let show (Count n) = string_of_int n in
-  let m = Fsm.create ~name:"boxed" ~init:(Count 0) ~show in
-  Fsm.stay m;
-  Fsm.commit m;
-  checki "stay does not count" 0 (Fsm.transitions m);
-  Fsm.goto m (Fsm.state m);
-  Fsm.commit m;
-  checki "goto of the held value does not count" 0 (Fsm.transitions m);
-  let fresh = Count (int_of_string "0") in
-  checkb "fresh value is a distinct block" true (fresh != Fsm.state m);
-  Fsm.goto m fresh;
-  Fsm.commit m;
-  checki "goto of a fresh equal value counts" 1 (Fsm.transitions m);
-  checkb "state is structurally unchanged" true (Fsm.state m = Count 0);
-  Fsm.goto m (Count 1);
-  Fsm.commit m;
-  checki "goto of a different value counts" 2 (Fsm.transitions m);
-  Fsm.stay m;
-  Fsm.commit m;
-  checki "stay after a goto does not count" 2 (Fsm.transitions m);
-  Alcotest.(check string) "show" "1" (Fsm.show m)
+(* The state register is written without allocating: 10k edges of
+   goto/stay/commit cost 0 minor words. A state type with a payload does
+   not pass [Fsm.STATE]'s [[@@immediate]], so this is the guard that the
+   register itself stays allocation-free. *)
+let test_fsm_no_allocation () =
+  let m = M.create ~name:"m" ~init:A in
+  let run () =
+    for i = 1 to 10_000 do
+      if i mod 3 = 0 then M.stay m else M.goto m (if i land 1 = 0 then A else B);
+      M.commit m
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 10k edges" 0. words;
+  checkb "the machine did move" true (M.transitions m > 5_000)
 
 (* {1 Wave} *)
 
@@ -234,7 +235,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_slice_concat;
     Alcotest.test_case "reg/two-phase" `Quick test_reg;
     Alcotest.test_case "fsm/transitions" `Quick test_fsm;
-    Alcotest.test_case "fsm/boxed-transitions" `Quick test_fsm_boxed_transitions;
+    Alcotest.test_case "fsm/no-allocation" `Quick test_fsm_no_allocation;
     Alcotest.test_case "wave/capture" `Quick test_wave_capture;
     Alcotest.test_case "wave/width-mask" `Quick test_wave_width_mask;
     Alcotest.test_case "wave/ascii" `Quick test_wave_ascii;

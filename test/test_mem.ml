@@ -237,6 +237,139 @@ let prop_ahb_monotone =
       let lo = min x y and hi = max x y in
       Ahb.copy_cycles Ahb.default ~bytes:lo <= Ahb.copy_cycles Ahb.default ~bytes:hi)
 
+(* A lazily backed [Ram] must be indistinguishable from one allocated and
+   zeroed in full: the reference below is the eager implementation (a
+   [size]-byte buffer, the same bounds check and messages), and random
+   operation sequences — accesses at every width, blits within and
+   between memories, fills, dumps, byte-buffer copies — are replayed on
+   both, with addresses clustered around the backing's doubling points
+   (64, 128 and 256 KiB), the end of the memory and past it. Results,
+   raised [Invalid_argument] messages and final contents must agree. *)
+module Eager = struct
+  type t = Bytes.t
+
+  let create ~size = Bytes.make size '\000'
+
+  let check t addr bytes op =
+    if addr < 0 || addr + bytes > Bytes.length t then
+      invalid_arg
+        (Printf.sprintf "Ram.%s: address %#x (+%d) out of [0, %#x)" op addr
+           bytes (Bytes.length t))
+
+  let read t ~width addr =
+    let op = Printf.sprintf "read%d" width in
+    check t addr (width / 8) op;
+    match width with
+    | 8 -> Bytes.get_uint8 t addr
+    | 16 -> Bytes.get_uint16_le t addr
+    | _ -> Int32.to_int (Bytes.get_int32_le t addr) land 0xFFFFFFFF
+
+  let write t ~width addr v =
+    let op = Printf.sprintf "write%d" width in
+    check t addr (width / 8) op;
+    match width with
+    | 8 -> Bytes.set_uint8 t addr (v land 0xFF)
+    | 16 -> Bytes.set_uint16_le t addr (v land 0xFFFF)
+    | _ -> Bytes.set_int32_le t addr (Int32.of_int v)
+
+  let blit src ~src:spos dst ~dst:dpos ~len =
+    check src spos len "blit(src)";
+    check dst dpos len "blit(dst)";
+    Bytes.blit src spos dst dpos len
+
+  let fill t ~pos ~len c =
+    check t pos len "fill";
+    Bytes.fill t pos len c
+
+  let dump t ~pos ~len =
+    check t pos len "dump";
+    Bytes.sub t pos len
+
+  let blit_to_bytes t ~src dst ~dst:dpos ~len =
+    check t src len "blit_to_bytes";
+    Bytes.blit t src dst dpos len
+
+  let blit_from_bytes src ~src:spos t ~dst ~len =
+    check t dst len "blit_from_bytes";
+    Bytes.blit src spos t dst len
+end
+
+let lazy_size = 300_000
+
+type ram_op =
+  | Read of int * int (* width, addr *)
+  | Write of int * int * int (* width, addr, value *)
+  | Blit of bool * int * int * int (* across memories, src, dst, len *)
+  | Fill of int * int * char
+  | Dump of int * int
+  | To_bytes of int * int
+  | From_bytes of int * int
+
+let gen_ram_op =
+  let open QCheck.Gen in
+  let addr =
+    map2
+      (fun base off -> base + off)
+      (oneofl [ 0; 65_536; 131_072; 262_144; lazy_size; -8; lazy_size + 64 ])
+      (int_range (-12) 12)
+  in
+  let len = oneof [ int_range 0 16; int_range 0 70_000 ] in
+  frequency
+    [
+      (4, map2 (fun w a -> Read (w, a)) (oneofl [ 8; 16; 32 ]) addr);
+      ( 4,
+        map3 (fun w a v -> Write (w, a, v)) (oneofl [ 8; 16; 32 ]) addr
+          (int_bound 0x3FFFFFFF) );
+      (2, map4 (fun x s d l -> Blit (x, s, d, l)) bool addr addr len);
+      (1, map3 (fun p l c -> Fill (p, l, c)) addr len (oneofl [ '\000'; 'z' ]));
+      (1, map2 (fun p l -> Dump (p, l)) addr len);
+      (1, map2 (fun p l -> To_bytes (p, l)) addr len);
+      (1, map2 (fun p l -> From_bytes (p, l)) addr len);
+    ]
+
+let prop_lazy_ram_matches_eager =
+  QCheck.Test.make ~name:"lazily backed ram behaves like an eager one"
+    ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) gen_ram_op))
+    (fun ops ->
+      let r1 = Ram.create ~size:lazy_size and r2 = Ram.create ~size:lazy_size in
+      let e1 = Eager.create ~size:lazy_size and e2 = Eager.create ~size:lazy_size in
+      let outcome f =
+        match f () with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      let step op =
+        match op with
+        | Read (width, a) ->
+          outcome (fun () -> string_of_int (Ram.read r1 ~width a))
+          = outcome (fun () -> string_of_int (Eager.read e1 ~width a))
+        | Write (width, a, v) ->
+          outcome (fun () -> Ram.write r1 ~width a v)
+          = outcome (fun () -> Eager.write e1 ~width a v)
+        | Blit (across, s, d, len) ->
+          let rd, ed = if across then (r2, e2) else (r1, e1) in
+          outcome (fun () -> Ram.blit r1 ~src:s rd ~dst:d ~len)
+          = outcome (fun () -> Eager.blit e1 ~src:s ed ~dst:d ~len)
+        | Fill (p, len, c) ->
+          outcome (fun () -> Ram.fill r1 ~pos:p ~len c)
+          = outcome (fun () -> Eager.fill e1 ~pos:p ~len c)
+        | Dump (p, len) ->
+          outcome (fun () -> Ram.dump r1 ~pos:p ~len)
+          = outcome (fun () -> Eager.dump e1 ~pos:p ~len)
+        | To_bytes (p, len) ->
+          let b1 = Bytes.make 70_016 'q' and b2 = Bytes.make 70_016 'q' in
+          outcome (fun () -> Ram.blit_to_bytes r1 ~src:p b1 ~dst:8 ~len)
+          = outcome (fun () -> Eager.blit_to_bytes e1 ~src:p b2 ~dst:8 ~len)
+          && Bytes.equal b1 b2
+        | From_bytes (p, len) ->
+          let b = Bytes.init 70_016 (fun i -> Char.chr (i land 0xFF)) in
+          outcome (fun () -> Ram.blit_from_bytes b ~src:8 r1 ~dst:p ~len)
+          = outcome (fun () -> Eager.blit_from_bytes b ~src:8 e1 ~dst:p ~len)
+      in
+      List.for_all step ops
+      && Ram.size r1 = lazy_size
+      && Bytes.equal (Ram.dump r1 ~pos:0 ~len:lazy_size) e1
+      && Bytes.equal (Ram.dump r2 ~pos:0 ~len:lazy_size) e2)
+
 let suite =
   [
     Alcotest.test_case "page/geometry" `Quick test_page_geometry;
@@ -247,6 +380,7 @@ let suite =
     Alcotest.test_case "ram/blit" `Quick test_ram_blit;
     QCheck_alcotest.to_alcotest prop_ram_w16_r8;
     QCheck_alcotest.to_alcotest prop_ram_width_roundtrip;
+    QCheck_alcotest.to_alcotest prop_lazy_ram_matches_eager;
     Alcotest.test_case "dpram/pages" `Quick test_dpram_pages;
     Alcotest.test_case "dpram/ports-stats" `Quick test_dpram_ports_and_stats;
     Alcotest.test_case "dpram/parity-page-indexing" `Quick
