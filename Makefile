@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke sva-smoke chaos-smoke serve-smoke examples check inline-guard profile faults-smoke faults-determinism clean
+.PHONY: all build test bench bench-smoke sva-smoke chaos-smoke serve-smoke examples check inline-guard compare-guard profile faults-smoke faults-determinism clean
 
 all: build
 
@@ -10,12 +10,14 @@ test:
 
 # Everything CI runs: a clean build, the test suite, every example
 # program (each exits non-zero on an unverified result), a guard that
-# cross-module inlining is on, and a guard against accidentally
-# committing the dune build tree.
+# cross-module inlining is on, a guard that the per-edge code makes no
+# polymorphic compare, and a guard against accidentally committing the
+# dune build tree. It leaves every tracked file as it was.
 check:
 	dune build @all
 	dune runtest
 	$(MAKE) inline-guard
+	$(MAKE) compare-guard
 	$(MAKE) examples
 	$(MAKE) sva-smoke
 	$(MAKE) chaos-smoke
@@ -55,6 +57,37 @@ inline-guard:
 	  exit 1; \
 	fi; \
 	echo "inline-guard: none of $$n library modules is compiled with -opaque"
+
+# Polymorphic-compare guard. A structural compare (=, <>, <, compare, ...)
+# at a type the compiler cannot prove immediate becomes a C call into the
+# runtime (caml_lessthan, caml_equal, ...): a few per clock edge cost more
+# than the edge's own work. This disassembles the per-edge modules (the
+# engine and clock, the hardware primitives, the memories, the
+# coprocessors and their ports, and the IMU, TLB, page-table walker and
+# port bundle) and fails on any call to one of those primitives. Annotate
+# the operand type (e.g. `(lo : int)`) to get a machine compare instead.
+EDGE_MODULES := $(wildcard lib/sim/*.ml lib/hw/*.ml lib/mem/*.ml lib/coproc/*.ml) \
+  lib/core/imu.ml lib/core/tlb.ml lib/core/walker.ml lib/core/cp_port.ml
+compare-guard:
+	@dune build @lib/all || exit 1; \
+	n=0; bad=0; \
+	for f in $(EDGE_MODULES); do \
+	  d=$$(dirname $$f); \
+	  lib=$$(sed -n 's/^ *(name \([a-z_0-9]*\)).*/\1/p' $$d/dune | head -1); \
+	  m=$$(basename $$f .ml | sed 's/^./\U&/'); \
+	  o=_build/default/$$d/.$$lib.objs/native/$${lib}__$$m.o; \
+	  if [ ! -f $$o ]; then echo "error: no object $$o" >&2; exit 1; fi; \
+	  hits=$$(objdump -dr $$o | awk '/>:$$/ { fn = $$2 } \
+	    /caml_(compare|equal|notequal|lessthan|lessequal|greaterthan|greaterequal)([^_a-z0-9]|$$)/ \
+	    { print "  " fn " calls " $$NF }') || exit 1; \
+	  if [ -n "$$hits" ]; then \
+	    echo "error: polymorphic compare in $$f:" >&2; echo "$$hits" >&2; \
+	    bad=1; \
+	  fi; \
+	  n=$$((n + 1)); \
+	done; \
+	if [ "$$bad" -ne 0 ]; then exit 1; fi; \
+	echo "compare-guard: none of $$n per-edge modules calls a polymorphic compare"
 
 # Host-side hot spots, per function: samples a fixed 1000-tenant fcfs
 # `rvisim serve` and a 200-run fault campaign with gprofng (binutils >=
@@ -108,11 +141,15 @@ bench:
 	dune exec bench/main.exe
 
 # Quick campaign benchmark: appends one trajectory point (commit, host
-# cores, runs/s) to BENCH_campaign.json and fails if serial throughput
-# regressed more than 20% against the newest committed point. The gate
-# compares runs/s, so a smaller --runs smoke still gates correctly.
+# cores, runs/s) to a copy of BENCH_campaign.json under results/ and
+# fails if serial throughput regressed more than 20% against the newest
+# committed point. The gate compares runs/s, so a smaller --runs smoke
+# still gates correctly. The tracked file is left as it is.
 bench-smoke:
-	dune exec bin/rvisim.exe -- bench --runs 100 --jobs 2 --gate 0.2
+	mkdir -p results
+	cp BENCH_campaign.json results/BENCH_campaign.json
+	dune exec bin/rvisim.exe -- bench --runs 100 --jobs 2 --gate 0.2 \
+	  --out results/BENCH_campaign.json
 
 # Chaos smoke: a bounded generated campaign (any invariant violation
 # inside the generated envelope is a real bug and fails the gate) plus a
@@ -128,14 +165,16 @@ chaos-smoke:
 # Multi-tenant service smoke: every policy in both translation modes
 # over a sharded campaign that must reproduce the serial digest, with
 # every service invariant enforced (no starvation, clean interfaces,
-# sane latency statistics). Appends one trajectory point per cell to
-# BENCH_serve.json and gates against the newest committed points.
+# sane latency statistics). Appends one trajectory point per cell to a
+# copy of BENCH_serve.json under results/ and gates against the newest
+# committed points; the tracked file is left as it is.
 serve-smoke:
 	mkdir -p results
+	cp BENCH_serve.json results/BENCH_serve.json
 	dune exec bin/rvisim.exe -- serve --tenants 40 --requests 400 \
 	  --policy all --translation both --seed 42 --jobs 2 \
 	  --verify-determinism --csv results/serve-smoke.csv \
-	  --json BENCH_serve.json --gate 0.5
+	  --json results/BENCH_serve.json --gate 0.5
 
 # Translation-mode smoke: runs the adpcm ablation in both translation
 # modes and asserts paper mode never touches the page-table walker while

@@ -45,7 +45,7 @@ let () =
   let p =
     Platform.create ~app_name:"quickstart" cfg
       ~bitstream:Rvi_harness.Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
 
   (* User-space data, like any heap allocation. *)

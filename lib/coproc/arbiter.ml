@@ -13,6 +13,7 @@ type request = {
 type t = {
   upstream : Cp_port.t;
   ports : Cp_port.t array;
+  obj_base : int array; (* added to each child's object ids *)
   queued : request option array; (* one outstanding request per child *)
   mutable inflight : int option; (* child whose request is at the IMU *)
   mutable rr : int; (* round-robin cursor *)
@@ -24,12 +25,19 @@ type t = {
   mutable out_fin : bool;
 }
 
-let create ~upstream ~children =
+let create ?obj_base ~upstream ~children () =
   if children < 1 || children > 4 then
     invalid_arg "Arbiter.create: children out of [1, 4]";
+  let obj_base =
+    match obj_base with
+    | None -> Array.make children 0
+    | Some b when Array.length b = children -> Array.copy b
+    | Some _ -> invalid_arg "Arbiter.create: one object base per child"
+  in
   {
     upstream;
     ports = Array.init children (fun _ -> Cp_port.create ());
+    obj_base;
     queued = Array.make children None;
     inflight = None;
     rr = 0;
@@ -48,11 +56,11 @@ let child_port t i =
 let grants t = Array.copy t.grants
 
 (* Parameter reads are relocated into the child's private slot of the
-   parameter page. *)
-let relocate ~child r =
+   parameter page, object accesses by the child's object base. *)
+let relocate t ~child r =
   if r.obj_id = Cp_port.param_obj then
     { r with addr = r.addr + (child * 4 * slot_words) }
-  else r
+  else { r with obj_id = r.obj_id + t.obj_base.(child) }
 
 let compute t =
   let n = Array.length t.ports in
@@ -72,7 +80,7 @@ let compute t =
       if p.Cp_port.cp_access then
         t.queued.(i) <-
           Some
-            (relocate ~child:i
+            (relocate t ~child:i
                {
                  obj_id = p.Cp_port.cp_obj;
                  addr = p.Cp_port.cp_addr;

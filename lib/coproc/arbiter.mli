@@ -8,10 +8,12 @@
     response back to its issuer. [CP_START] is re-broadcast to every
     child; the upstream [CP_FIN] is the conjunction of the children's.
 
-    Children must use disjoint object identifiers. Parameter-page reads
-    are relocated per child — child [i] sees its scalars at the usual
-    offsets while physically reading words [i * slot_words] onwards — so
-    independent kernels keep their Figure 6 parameter layout.
+    Every access is relocated per child, so independent kernels keep
+    their own object numbering and their Figure 6 parameter layout:
+    child [i]'s object [o] is object [o + obj_base.(i)] upstream, and it
+    sees its scalars at the usual offsets while physically reading
+    parameter words [i * slot_words] onwards. The relocated object
+    identifiers must be disjoint.
 
     A registered (1-cycle each way) arbiter: a shared access costs two
     cycles more than a private one, the price of the port. *)
@@ -21,8 +23,14 @@ type t
 val slot_words : int
 (** Parameter words reserved per child (16). *)
 
-val create : upstream:Rvi_core.Cp_port.t -> children:int -> t
-(** Raises [Invalid_argument] unless [1 <= children <= 4]. *)
+val create :
+  ?obj_base:int array ->
+  upstream:Rvi_core.Cp_port.t ->
+  children:int ->
+  unit ->
+  t
+(** [obj_base] defaults to all zeros. Raises [Invalid_argument] unless
+    [1 <= children <= 4] and [obj_base] has one entry per child. *)
 
 val child_port : t -> int -> Rvi_core.Cp_port.t
 (** The bundle to instantiate child [i]'s coprocessor against. *)

@@ -2,20 +2,28 @@ module Cp_port = Rvi_core.Cp_port
 
 exception Out_of_region of { region : int; addr : int }
 
-type request = {
-  region : int;
-  addr : int;
-  wr : bool;
-  width : Cp_port.width;
-  data : int;
-}
-
+(* A request moves from [pend_*] (issued this cycle) to [fl_*] (in the
+   RAM, completes at the next sample). Both are flat mutable fields
+   guarded by a valid bit rather than [request option]s, so an access
+   costs stores instead of a fresh heap block per issue. *)
 type t = {
   dpram : Rvi_mem.Dpram.t;
   regions : (int, int * int) Hashtbl.t; (* region -> base, size *)
   mutable params : int array;
-  mutable pending : request option; (* issued this cycle *)
-  mutable inflight : request option; (* in the RAM, completes next sample *)
+  (* issued this cycle; meaningful iff [pend_valid] *)
+  mutable pend_valid : bool;
+  mutable pend_region : int;
+  mutable pend_addr : int;
+  mutable pend_wr : bool;
+  mutable pend_width : Cp_port.width;
+  mutable pend_data : int;
+  (* in the RAM, completes next sample; meaningful iff [fl_valid] *)
+  mutable fl_valid : bool;
+  mutable fl_region : int;
+  mutable fl_addr : int;
+  mutable fl_wr : bool;
+  mutable fl_width : Cp_port.width;
+  mutable fl_data : int;
   mutable ready_now : bool;
   mutable data_now : int;
   mutable start_req : bool;
@@ -29,8 +37,18 @@ let create ~dpram =
     dpram;
     regions = Hashtbl.create 8;
     params = [||];
-    pending = None;
-    inflight = None;
+    pend_valid = false;
+    pend_region = 0;
+    pend_addr = 0;
+    pend_wr = false;
+    pend_width = Cp_port.W32;
+    pend_data = 0;
+    fl_valid = false;
+    fl_region = 0;
+    fl_addr = 0;
+    fl_wr = false;
+    fl_width = Cp_port.W32;
+    fl_data = 0;
     ready_now = false;
     data_now = 0;
     start_req = false;
@@ -48,23 +66,26 @@ let set_params t params = t.params <- Array.of_list params
 let assert_start t = t.start_req <- true
 let finished t = t.fin
 
-let perform t r =
-  if r.region = Cp_port.param_obj then begin
-    let index = r.addr / 4 in
-    if r.wr || index < 0 || index >= Array.length t.params then
-      raise (Out_of_region { region = r.region; addr = r.addr });
+(* Completes the in-flight request. *)
+let perform t =
+  let region = t.fl_region and addr = t.fl_addr in
+  if region = Cp_port.param_obj then begin
+    let index = addr / 4 in
+    if t.fl_wr || index < 0 || index >= Array.length t.params then
+      raise (Out_of_region { region; addr });
     t.data_now <- t.params.(index)
   end
   else begin
-    match Hashtbl.find_opt t.regions r.region with
-    | None -> raise (Out_of_region { region = r.region; addr = r.addr })
-    | Some (base, size) ->
-      let bytes = Cp_port.width_bytes r.width in
-      if r.addr < 0 || r.addr + bytes > size then
-        raise (Out_of_region { region = r.region; addr = r.addr });
-      let width = Cp_port.width_bits r.width in
-      if r.wr then Rvi_mem.Dpram.write t.dpram ~width (base + r.addr) r.data
-      else t.data_now <- Rvi_mem.Dpram.read t.dpram ~width (base + r.addr)
+    (* [find] returns the stored window; [find_opt] would box it *)
+    match Hashtbl.find t.regions region with
+    | exception Not_found -> raise (Out_of_region { region; addr })
+    | base, size ->
+      let bytes = Cp_port.width_bytes t.fl_width in
+      if addr < 0 || addr + bytes > size then
+        raise (Out_of_region { region; addr });
+      let width = Cp_port.width_bits t.fl_width in
+      if t.fl_wr then Rvi_mem.Dpram.write t.dpram ~width (base + addr) t.fl_data
+      else t.data_now <- Rvi_mem.Dpram.read t.dpram ~width (base + addr)
   end
 
 let sample t =
@@ -74,15 +95,14 @@ let sample t =
     t.fin <- false
   end;
   t.ready_now <- false;
-  match t.inflight with
-  | Some r ->
-    perform t r;
-    t.inflight <- None;
+  if t.fl_valid then begin
+    perform t;
+    t.fl_valid <- false;
     t.ready_now <- true
-  | None -> ()
+  end
 
 let start_seen t = t.start_now
-let busy t = t.pending <> None || t.inflight <> None
+let busy t = t.pend_valid || t.fl_valid
 let ready t = t.ready_now
 let data t = t.data_now
 
@@ -90,26 +110,35 @@ let data t = t.data_now
    coprocessor's own ticks, so any queued or in-flight request (or a pulse
    still high) makes the next tick do real work. *)
 let quiescent t =
-  (not t.start_req) && (not t.start_now) && t.pending = None
-  && t.inflight = None && not t.ready_now
+  (not t.start_req) && (not t.start_now) && (not t.pend_valid)
+  && (not t.fl_valid) && not t.ready_now
 
 let issue t ~region ~addr ~wr ~width ~data =
   assert (not (busy t));
-  t.pending <- Some { region; addr; wr; width; data };
+  t.pend_region <- region;
+  t.pend_addr <- addr;
+  t.pend_wr <- wr;
+  t.pend_width <- width;
+  t.pend_data <- data;
+  t.pend_valid <- true;
   t.accesses <- t.accesses + 1
 
 let finish t = t.fin <- true
 
 let commit t =
-  match t.pending with
-  | Some r ->
-    t.inflight <- Some r;
-    t.pending <- None
-  | None -> ()
+  if t.pend_valid then begin
+    t.fl_region <- t.pend_region;
+    t.fl_addr <- t.pend_addr;
+    t.fl_wr <- t.pend_wr;
+    t.fl_width <- t.pend_width;
+    t.fl_data <- t.pend_data;
+    t.fl_valid <- true;
+    t.pend_valid <- false
+  end
 
 let reset t =
-  t.pending <- None;
-  t.inflight <- None;
+  t.pend_valid <- false;
+  t.fl_valid <- false;
   t.ready_now <- false;
   t.data_now <- 0;
   t.start_req <- false;

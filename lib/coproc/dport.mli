@@ -1,5 +1,5 @@
-(** {!Mem_port.S} with raw physical dual-port-RAM access — the "typical
-    coprocessor" baseline.
+(** Raw physical dual-port-RAM access — the "typical coprocessor"
+    baseline, one of the two backends of {!Port}.
 
     No IMU: every access completes in a single cycle against a hardwired
     base-address table that the driver (i.e. the programmer) must fill with
@@ -7,9 +7,9 @@
     middle listing shows. Out-of-bounds accesses fail the run — this is
     what "exceeds available memory" means for the normal coprocessor in
     Figure 9. Parameters are read from a register file poked by the
-    driver. *)
+    driver. A request completes at the owner's next {!sample}. *)
 
-include Mem_port.S
+type t
 
 exception Out_of_region of { region : int; addr : int }
 
@@ -23,3 +23,29 @@ val set_params : t -> int list -> unit
 val assert_start : t -> unit
 val finished : t -> bool
 val accesses : t -> int
+
+(** {1 Coprocessor side}
+
+    The operations {!Port} forwards to; see there for their contract.
+    {!sample} raises {!Out_of_region} when the completing access falls
+    outside its window. *)
+
+val sample : t -> unit
+val start_seen : t -> bool
+
+val issue :
+  t ->
+  region:int ->
+  addr:int ->
+  wr:bool ->
+  width:Rvi_core.Cp_port.width ->
+  data:int ->
+  unit
+
+val busy : t -> bool
+val ready : t -> bool
+val data : t -> int
+val finish : t -> unit
+val commit : t -> unit
+val reset : t -> unit
+val quiescent : t -> bool

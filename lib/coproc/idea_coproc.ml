@@ -43,344 +43,328 @@ let params ~n_blocks ~decrypt ~key =
     ~mode:(if decrypt then Ecb_decrypt else Ecb_encrypt)
     ~key ()
 
-module Make (P : Mem_port.S) = struct
-  (* Immediate states. The parameter being read is [param]; the key
-     schedule countdown is [key_left]. *)
-  type phase = Wait_start | Read_param | Wait_param | Key_setup | Run | Done
+(* Immediate states. The parameter being read is [param]; the key
+   schedule countdown is [key_left]. *)
+type phase = Wait_start | Read_param | Wait_param | Key_setup | Run | Done
 
-  module Fsm = Rvi_hw.Fsm.Make (struct
-    type t = phase
+module Fsm = Rvi_hw.Fsm.Make (struct
+  type t = phase
 
-    let show = function
-      | Wait_start -> "wait_start"
-      | Read_param -> "rd_param"
-      | Wait_param -> "wait_param"
-      | Key_setup -> "key_setup"
-      | Run -> "run"
-      | Done -> "done"
-  end)
+  let show = function
+    | Wait_start -> "wait_start"
+    | Read_param -> "rd_param"
+    | Wait_param -> "wait_param"
+    | Key_setup -> "key_setup"
+    | Run -> "run"
+    | Done -> "done"
+end)
 
-  type fetch_state =
-    | F_idle
-    | F_wait_lo
-    | F_hold_lo (* low word in [fetch_lo], waiting for the port *)
-    | F_wait_hi (* low word in [fetch_lo] *)
-  type retire_state = R_idle | R_wait_lo | R_wait_hi
+type fetch_state =
+  | F_idle
+  | F_wait_lo
+  | F_hold_lo (* low word in [fetch_lo], waiting for the port *)
+  | F_wait_hi (* low word in [fetch_lo] *)
+type retire_state = R_idle | R_wait_lo | R_wait_hi
 
-  (* The pipeline is flat: slot [i] holds a block iff [pipe_valid.(i)],
-     with its result words and remaining stage cycles in the parallel
-     arrays, and the output buffer is a flag plus two words. Nothing on
-     the per-cycle path builds a block or compares polymorphically. *)
-  type m = {
-    port : P.t;
-    fsm : Fsm.t;
-    mutable param : int;
-    mutable key_left : int;
-    raw_params : int array;
-    mutable n_blocks : int;
-    mutable mode : mode;
-    mutable chain : int * int * int * int;
-    mutable subkeys : int array;
-    (* pipeline *)
-    pipe_valid : bool array;
-    pipe_lo : int array;
-    pipe_hi : int array;
-    pipe_left : int array;
-    mutable out_valid : bool;
-    mutable out_lo : int;
-    mutable out_hi : int;
-    mutable fetch : fetch_state;
-    mutable fetch_lo : int;
-    mutable fetched : int;
-    mutable retire : retire_state;
-    mutable retire_hi : int;
-    mutable retired : int;
-    stats : Rvi_sim.Stats.t;
-    c_cycles : Rvi_sim.Stats.counter;
-    c_blocks : Rvi_sim.Stats.counter;
-  }
+(* The pipeline is flat: slot [i] holds a block iff [pipe_valid.(i)],
+   with its result words and remaining stage cycles in the parallel
+   arrays, and the output buffer is a flag plus two words. Nothing on
+   the per-cycle path builds a block or compares polymorphically. *)
+type m = {
+  port : Port.t;
+  fsm : Fsm.t;
+  mutable param : int;
+  mutable key_left : int;
+  raw_params : int array;
+  mutable n_blocks : int;
+  mutable mode : mode;
+  mutable chain : int * int * int * int;
+  mutable subkeys : int array;
+  (* pipeline *)
+  pipe_valid : bool array;
+  pipe_lo : int array;
+  pipe_hi : int array;
+  pipe_left : int array;
+  mutable out_valid : bool;
+  mutable out_lo : int;
+  mutable out_hi : int;
+  mutable fetch : fetch_state;
+  mutable fetch_lo : int;
+  mutable fetched : int;
+  mutable retire : retire_state;
+  mutable retire_hi : int;
+  mutable retired : int;
+  stats : Rvi_sim.Stats.t;
+  c_cycles : Rvi_sim.Stats.counter;
+  c_blocks : Rvi_sim.Stats.counter;
+}
 
-  let read_param m i =
-    Mem_port.read_param
-      ~issue:(fun ~region ~addr ->
-        P.issue m.port ~region ~addr ~wr:false ~width:Cp_port.W32 ~data:0)
-      ~index:i
+let setup_keys m =
+  m.mode <- Option.value (mode_of_code m.raw_params.(1)) ~default:Ecb_encrypt;
+  let key = Array.sub m.raw_params 2 8 in
+  let sub = Idea_ref.expand_key key in
+  let decrypting =
+    match m.mode with
+    | Ecb_decrypt | Cbc_decrypt -> true
+    | Ecb_encrypt | Cbc_encrypt -> false
+  in
+  m.subkeys <- (if decrypting then Idea_ref.invert_key sub else sub);
+  m.chain <-
+    ( m.raw_params.(10) land 0xFFFF,
+      m.raw_params.(11) land 0xFFFF,
+      m.raw_params.(12) land 0xFFFF,
+      m.raw_params.(13) land 0xFFFF )
 
-  let setup_keys m =
-    m.mode <- Option.value (mode_of_code m.raw_params.(1)) ~default:Ecb_encrypt;
-    let key = Array.sub m.raw_params 2 8 in
-    let sub = Idea_ref.expand_key key in
-    let decrypting =
-      match m.mode with
-      | Ecb_decrypt | Cbc_decrypt -> true
-      | Ecb_encrypt | Cbc_encrypt -> false
-    in
-    m.subkeys <- (if decrypting then Idea_ref.invert_key sub else sub);
-    m.chain <-
-      ( m.raw_params.(10) land 0xFFFF,
-        m.raw_params.(11) land 0xFFFF,
-        m.raw_params.(12) land 0xFFFF,
-        m.raw_params.(13) land 0xFFFF )
+let begin_run m =
+  m.n_blocks <- m.raw_params.(0);
+  Array.fill m.pipe_valid 0 stages false;
+  m.out_valid <- false;
+  m.fetch <- F_idle;
+  m.fetched <- 0;
+  m.retire <- R_idle;
+  m.retired <- 0;
+  if m.n_blocks = 0 then begin
+    Port.finish m.port;
+    Fsm.goto m.fsm Done
+  end
+  else Fsm.goto m.fsm Run
 
-  let begin_run m =
-    m.n_blocks <- m.raw_params.(0);
-    Array.fill m.pipe_valid 0 stages false;
-    m.out_valid <- false;
-    m.fetch <- F_idle;
-    m.fetched <- 0;
-    m.retire <- R_idle;
-    m.retired <- 0;
-    if m.n_blocks = 0 then begin
-      P.finish m.port;
-      Fsm.goto m.fsm Done
+(* One cycle of the retire unit. Returns true if it claimed the port. *)
+let step_retire m =
+  match m.retire with
+  | R_idle ->
+    if m.out_valid && not (Port.busy m.port) then begin
+      m.out_valid <- false;
+      m.retire_hi <- m.out_hi;
+      Port.issue m.port ~region:obj_out ~addr:(8 * m.retired) ~wr:true
+        ~width:Cp_port.W32 ~data:m.out_lo;
+      m.retire <- R_wait_lo;
+      true
     end
-    else Fsm.goto m.fsm Run
-
-  (* One cycle of the retire unit. Returns true if it claimed the port. *)
-  let step_retire m =
-    match m.retire with
-    | R_idle ->
-      if m.out_valid && not (P.busy m.port) then begin
-        m.out_valid <- false;
-        m.retire_hi <- m.out_hi;
-        P.issue m.port ~region:obj_out ~addr:(8 * m.retired) ~wr:true
-          ~width:Cp_port.W32 ~data:m.out_lo;
-        m.retire <- R_wait_lo;
+    else false
+  | R_wait_lo ->
+    if Port.ready m.port then
+      if not (Port.busy m.port) then begin
+        Port.issue m.port ~region:obj_out
+          ~addr:((8 * m.retired) + 4)
+          ~wr:true ~width:Cp_port.W32 ~data:m.retire_hi;
+        m.retire <- R_wait_hi;
         true
       end
-      else false
-    | R_wait_lo ->
-      if P.ready m.port then
-        if not (P.busy m.port) then begin
-          P.issue m.port ~region:obj_out
-            ~addr:((8 * m.retired) + 4)
-            ~wr:true ~width:Cp_port.W32 ~data:m.retire_hi;
-          m.retire <- R_wait_hi;
-          true
-        end
-        else true (* port stolen is impossible: we are the only user now *)
-      else true (* still waiting: the port is ours *)
-    | R_wait_hi ->
-      if P.ready m.port then begin
-        m.retired <- m.retired + 1;
-        Rvi_sim.Stats.tick m.c_blocks;
-        m.retire <- R_idle;
-        false
-      end
-      else true
+      else true (* port stolen is impossible: we are the only user now *)
+    else true (* still waiting: the port is ours *)
+  | R_wait_hi ->
+    if Port.ready m.port then begin
+      m.retired <- m.retired + 1;
+      Rvi_sim.Stats.tick m.c_blocks;
+      m.retire <- R_idle;
+      false
+    end
+    else true
 
-  let pipe_empty m =
-    let empty = ref true in
-    for i = 0 to stages - 1 do
-      if m.pipe_valid.(i) then empty := false
-    done;
-    !empty
+let pipe_empty m =
+  let empty = ref true in
+  for i = 0 to stages - 1 do
+    if m.pipe_valid.(i) then empty := false
+  done;
+  !empty
 
-  let fetch_hi m =
-    P.issue m.port ~region:obj_in
-      ~addr:((8 * m.fetched) + 4)
-      ~wr:false ~width:Cp_port.W32 ~data:0;
-    m.fetch <- F_wait_hi
+let fetch_hi m =
+  Port.issue m.port ~region:obj_in
+    ~addr:((8 * m.fetched) + 4)
+    ~wr:false ~width:Cp_port.W32 ~data:0;
+  m.fetch <- F_wait_hi
 
-  (* One cycle of the fetch unit; only runs when the port is free. *)
-  let step_fetch m ~port_free =
-    match m.fetch with
-    | F_idle ->
-      (* CBC encryption is a recurrence: the next block cannot enter the
-         pipeline until the previous one has left it. *)
-      let chain_ready = m.mode <> Cbc_encrypt || pipe_empty m in
-      if port_free && chain_ready && m.fetched < m.n_blocks && not m.pipe_valid.(0)
-      then begin
-        P.issue m.port ~region:obj_in ~addr:(8 * m.fetched) ~wr:false
-          ~width:Cp_port.W32 ~data:0;
-        m.fetch <- F_wait_lo
-      end
-    | F_wait_lo ->
-      if P.ready m.port then begin
-        m.fetch_lo <- P.data m.port;
-        if port_free then fetch_hi m else m.fetch <- F_hold_lo
-      end
-    | F_hold_lo -> if port_free then fetch_hi m
-    | F_wait_hi ->
-      if P.ready m.port then begin
-        let hi = P.data m.port in
-        (* The whole block transform is computed here and carried through
-           the pipeline; the slots model timing only. *)
-        let block = Idea_ref.words_of_le32 ~lo:m.fetch_lo ~hi in
-        let result =
-          match m.mode with
-          | Ecb_encrypt | Ecb_decrypt -> Idea_ref.crypt_block m.subkeys block
-          | Cbc_encrypt ->
-            let cipher =
-              Idea_ref.crypt_block m.subkeys (Idea_ref.xor_block block m.chain)
-            in
-            m.chain <- cipher;
-            cipher
-          | Cbc_decrypt ->
-            let plain =
-              Idea_ref.xor_block (Idea_ref.crypt_block m.subkeys block) m.chain
-            in
-            m.chain <- block;
-            plain
-        in
-        let rlo, rhi = Idea_ref.le32_of_words result in
-        m.pipe_valid.(0) <- true;
-        m.pipe_lo.(0) <- rlo;
-        m.pipe_hi.(0) <- rhi;
-        m.pipe_left.(0) <- stage_cycles;
-        m.fetched <- m.fetched + 1;
-        m.fetch <- F_idle
-      end
+(* One cycle of the fetch unit; only runs when the port is free. *)
+let step_fetch m ~port_free =
+  match m.fetch with
+  | F_idle ->
+    (* CBC encryption is a recurrence: the next block cannot enter the
+       pipeline until the previous one has left it. *)
+    let chain_ready = m.mode <> Cbc_encrypt || pipe_empty m in
+    if port_free && chain_ready && m.fetched < m.n_blocks && not m.pipe_valid.(0)
+    then begin
+      Port.issue m.port ~region:obj_in ~addr:(8 * m.fetched) ~wr:false
+        ~width:Cp_port.W32 ~data:0;
+      m.fetch <- F_wait_lo
+    end
+  | F_wait_lo ->
+    if Port.ready m.port then begin
+      m.fetch_lo <- Port.data m.port;
+      if port_free then fetch_hi m else m.fetch <- F_hold_lo
+    end
+  | F_hold_lo -> if port_free then fetch_hi m
+  | F_wait_hi ->
+    if Port.ready m.port then begin
+      let hi = Port.data m.port in
+      (* The whole block transform is computed here and carried through
+         the pipeline; the slots model timing only. *)
+      let block = Idea_ref.words_of_le32 ~lo:m.fetch_lo ~hi in
+      let result =
+        match m.mode with
+        | Ecb_encrypt | Ecb_decrypt -> Idea_ref.crypt_block m.subkeys block
+        | Cbc_encrypt ->
+          let cipher =
+            Idea_ref.crypt_block m.subkeys (Idea_ref.xor_block block m.chain)
+          in
+          m.chain <- cipher;
+          cipher
+        | Cbc_decrypt ->
+          let plain =
+            Idea_ref.xor_block (Idea_ref.crypt_block m.subkeys block) m.chain
+          in
+          m.chain <- block;
+          plain
+      in
+      let rlo, rhi = Idea_ref.le32_of_words result in
+      m.pipe_valid.(0) <- true;
+      m.pipe_lo.(0) <- rlo;
+      m.pipe_hi.(0) <- rhi;
+      m.pipe_left.(0) <- stage_cycles;
+      m.fetched <- m.fetched + 1;
+      m.fetch <- F_idle
+    end
 
-  let step_pipeline m =
-    (* Retire-side first so a freed slot can be refilled the same cycle
-       order guarantees forward progress, not combinational magic. *)
-    let last = stages - 1 in
-    if m.pipe_valid.(last) && m.pipe_left.(last) = 0 && not m.out_valid then begin
-      m.out_valid <- true;
-      m.out_lo <- m.pipe_lo.(last);
-      m.out_hi <- m.pipe_hi.(last);
-      m.pipe_valid.(last) <- false
-    end;
-    for i = stages - 2 downto 0 do
-      if m.pipe_valid.(i) && (not m.pipe_valid.(i + 1)) && m.pipe_left.(i) = 0
-      then begin
-        m.pipe_valid.(i + 1) <- true;
-        m.pipe_lo.(i + 1) <- m.pipe_lo.(i);
-        m.pipe_hi.(i + 1) <- m.pipe_hi.(i);
-        m.pipe_left.(i + 1) <- stage_cycles;
-        m.pipe_valid.(i) <- false
-      end
-    done;
-    for i = 0 to stages - 1 do
-      if m.pipe_valid.(i) && m.pipe_left.(i) > 0 then
-        m.pipe_left.(i) <- m.pipe_left.(i) - 1
-    done
+let step_pipeline m =
+  (* Retire-side first so a freed slot can be refilled the same cycle
+     order guarantees forward progress, not combinational magic. *)
+  let last = stages - 1 in
+  if m.pipe_valid.(last) && m.pipe_left.(last) = 0 && not m.out_valid then begin
+    m.out_valid <- true;
+    m.out_lo <- m.pipe_lo.(last);
+    m.out_hi <- m.pipe_hi.(last);
+    m.pipe_valid.(last) <- false
+  end;
+  for i = stages - 2 downto 0 do
+    if m.pipe_valid.(i) && (not m.pipe_valid.(i + 1)) && m.pipe_left.(i) = 0
+    then begin
+      m.pipe_valid.(i + 1) <- true;
+      m.pipe_lo.(i + 1) <- m.pipe_lo.(i);
+      m.pipe_hi.(i + 1) <- m.pipe_hi.(i);
+      m.pipe_left.(i + 1) <- stage_cycles;
+      m.pipe_valid.(i) <- false
+    end
+  done;
+  for i = 0 to stages - 1 do
+    if m.pipe_valid.(i) && m.pipe_left.(i) > 0 then
+      m.pipe_left.(i) <- m.pipe_left.(i) - 1
+  done
 
-  let run_cycle m =
-    step_pipeline m;
-    let retire_claimed = step_retire m in
-    step_fetch m ~port_free:((not retire_claimed) && not (P.busy m.port));
-    if m.retired = m.n_blocks then begin
-      P.finish m.port;
-      Fsm.goto m.fsm Done
+let run_cycle m =
+  step_pipeline m;
+  let retire_claimed = step_retire m in
+  step_fetch m ~port_free:((not retire_claimed) && not (Port.busy m.port));
+  if m.retired = m.n_blocks then begin
+    Port.finish m.port;
+    Fsm.goto m.fsm Done
+  end
+  else Fsm.stay m.fsm
+
+let compute m =
+  Port.sample m.port;
+  Rvi_sim.Stats.tick m.c_cycles;
+  match Fsm.state m.fsm with
+  | Wait_start ->
+    if Port.start_seen m.port then begin
+      m.param <- 0;
+      Fsm.goto m.fsm Read_param
+    end
+    else Fsm.stay m.fsm
+  | Read_param ->
+    Port.read_param m.port ~index:m.param;
+    Fsm.goto m.fsm Wait_param
+  | Wait_param ->
+    if Port.ready m.port then begin
+      let i = m.param in
+      m.raw_params.(i) <- Port.data m.port;
+      if i + 1 < n_params then begin
+        m.param <- i + 1;
+        Fsm.goto m.fsm Read_param
+      end
+      else begin
+        m.key_left <- key_setup_cycles;
+        Fsm.goto m.fsm Key_setup
+      end
+    end
+    else Fsm.stay m.fsm
+  | Key_setup ->
+    if m.key_left > 1 then m.key_left <- m.key_left - 1
+    else begin
+      setup_keys m;
+      begin_run m
+    end
+  | Run -> run_cycle m
+  | Done ->
+    if Port.start_seen m.port then begin
+      m.param <- 0;
+      Fsm.goto m.fsm Read_param
     end
     else Fsm.stay m.fsm
 
-  let compute m =
-    P.sample m.port;
-    Rvi_sim.Stats.tick m.c_cycles;
+(* The pipelined [Run] state almost always moves something (fetch,
+   pipe advance, retire), so it never claims idleness; the parameter and
+   start waits are unbounded port waits, and [Key_setup] is a pure
+   countdown whose remaining decrements [skip] applies wholesale. *)
+let idle_hint m =
+  if not (Port.quiescent m.port) then 0
+  else
     match Fsm.state m.fsm with
-    | Wait_start ->
-      if P.start_seen m.port then begin
-        m.param <- 0;
-        Fsm.goto m.fsm Read_param
-      end
-      else Fsm.stay m.fsm
-    | Read_param ->
-      read_param m m.param;
-      Fsm.goto m.fsm Wait_param
-    | Wait_param ->
-      if P.ready m.port then begin
-        let i = m.param in
-        m.raw_params.(i) <- P.data m.port;
-        if i + 1 < n_params then begin
-          m.param <- i + 1;
-          Fsm.goto m.fsm Read_param
-        end
-        else begin
-          m.key_left <- key_setup_cycles;
-          Fsm.goto m.fsm Key_setup
-        end
-      end
-      else Fsm.stay m.fsm
-    | Key_setup ->
-      if m.key_left > 1 then m.key_left <- m.key_left - 1
-      else begin
-        setup_keys m;
-        begin_run m
-      end
-    | Run -> run_cycle m
-    | Done ->
-      if P.start_seen m.port then begin
-        m.param <- 0;
-        Fsm.goto m.fsm Read_param
-      end
-      else Fsm.stay m.fsm
+    | Wait_start | Wait_param | Done -> max_int
+    | Key_setup -> m.key_left - 1
+    | Read_param | Run -> 0
 
-  (* The pipelined [Run] state almost always moves something (fetch,
-     pipe advance, retire), so it never claims idleness; the parameter and
-     start waits are unbounded port waits, and [Key_setup] is a pure
-     countdown whose remaining decrements [skip] applies wholesale. *)
-  let idle_hint m =
-    if not (P.quiescent m.port) then 0
-    else
-      match Fsm.state m.fsm with
-      | Wait_start | Wait_param | Done -> max_int
-      | Key_setup -> m.key_left - 1
-      | Read_param | Run -> 0
+let skip m k =
+  Rvi_sim.Stats.tick_by m.c_cycles k;
+  match Fsm.state m.fsm with
+  | Key_setup -> m.key_left <- m.key_left - k
+  | _ -> ()
 
-  let skip m k =
-    Rvi_sim.Stats.tick_by m.c_cycles k;
-    match Fsm.state m.fsm with
-    | Key_setup -> m.key_left <- m.key_left - k
-    | _ -> ()
-
-  let create port =
-    let stats = Rvi_sim.Stats.create () in
-    let m =
-      {
-        port;
-        fsm = Fsm.create ~name:"idea" ~init:Wait_start;
-        param = 0;
-        key_left = 0;
-        raw_params = Array.make n_params 0;
-        n_blocks = 0;
-        mode = Ecb_encrypt;
-        chain = (0, 0, 0, 0);
-        subkeys = [||];
-        pipe_valid = Array.make stages false;
-        pipe_lo = Array.make stages 0;
-        pipe_hi = Array.make stages 0;
-        pipe_left = Array.make stages 0;
-        out_valid = false;
-        out_lo = 0;
-        out_hi = 0;
-        fetch = F_idle;
-        fetch_lo = 0;
-        fetched = 0;
-        retire = R_idle;
-        retire_hi = 0;
-        retired = 0;
-        stats;
-        c_cycles = Rvi_sim.Stats.counter stats "cycles";
-        c_blocks = Rvi_sim.Stats.counter stats "blocks";
-      }
-    in
+let create port =
+  let stats = Rvi_sim.Stats.create () in
+  let m =
     {
-      Coproc.name = "idea";
-      component =
-        Rvi_sim.Clock.component ~name:"idea"
-          ~idle_hint:(fun () -> idle_hint m)
-          ~skip:(fun k -> skip m k)
-          ~compute:(fun () -> compute m)
-          ~commit:(fun () ->
-            Fsm.commit m.fsm;
-            P.commit m.port)
-            ();
-      finished = (fun () -> Fsm.state m.fsm = Done);
-      reset =
-        (fun () ->
-          Fsm.reset m.fsm Wait_start;
-          P.reset m.port);
-      stats = m.stats;
+      port;
+      fsm = Fsm.create ~name:"idea" ~init:Wait_start;
+      param = 0;
+      key_left = 0;
+      raw_params = Array.make n_params 0;
+      n_blocks = 0;
+      mode = Ecb_encrypt;
+      chain = (0, 0, 0, 0);
+      subkeys = [||];
+      pipe_valid = Array.make stages false;
+      pipe_lo = Array.make stages 0;
+      pipe_hi = Array.make stages 0;
+      pipe_left = Array.make stages 0;
+      out_valid = false;
+      out_lo = 0;
+      out_hi = 0;
+      fetch = F_idle;
+      fetch_lo = 0;
+      fetched = 0;
+      retire = R_idle;
+      retire_hi = 0;
+      retired = 0;
+      stats;
+      c_cycles = Rvi_sim.Stats.counter stats "cycles";
+      c_blocks = Rvi_sim.Stats.counter stats "blocks";
     }
-end
-
-module Virtual = struct
-  module M = Make (Vport)
-
-  let create port =
-    let vport = Vport.create port in
-    (vport, M.create vport)
-end
+  in
+  {
+    Coproc.name = "idea";
+    component =
+      Rvi_sim.Clock.component ~name:"idea"
+        ~idle_hint:(fun () -> idle_hint m)
+        ~skip:(fun k -> skip m k)
+        ~compute:(fun () -> compute m)
+        ~commit:(fun () ->
+          Fsm.commit m.fsm;
+          Port.commit m.port)
+          ();
+    finished = (fun () -> Fsm.state m.fsm = Done);
+    reset =
+      (fun () ->
+        Fsm.reset m.fsm Wait_start;
+        Port.reset m.port);
+    stats = m.stats;
+  }

@@ -1,10 +1,10 @@
 module Cp_port = Rvi_core.Cp_port
 
 (* The bus side of the wrapper lives in the IMU clock domain
-   ([sync_component]): requests leave as single-cycle CP_ACCESS pulses at
-   the IMU rate and the IMU's single-cycle response pulses are latched
-   into sticky flags, which the (possibly slower) coprocessor consumes at
-   its own rate.
+   ([sync_compute]/[sync_commit]): requests leave as single-cycle
+   CP_ACCESS pulses at the IMU rate and the IMU's single-cycle response
+   pulses are latched into sticky flags, which the (possibly slower)
+   coprocessor consumes at its own rate.
 
    The posted request is held in flat mutable fields guarded by
    [pending_valid] rather than a [request option]: [issue] runs once per
@@ -99,47 +99,78 @@ let sync_component t =
     ~commit:(fun () -> sync_commit t)
     ()
 
-(* When the coprocessor runs at the IMU rate (divide 1) the IMU, the sync
-   stage and the coprocessor tick on every edge, always back to back, so
-   they can share one slot: compute = imu;sync_compute;coproc.compute and
-   commit = imu;sync_commit;coproc.commit reproduce the exact global call
-   order of the three separate registrations. The compute->commit hazard
-   that forces [commit_hazard] on the standalone sync slot becomes
-   internal to the fused slot, so the fused component needs no hazard
-   flag. Fusing is a pure host-side optimisation, but a load-bearing one:
-   each campaign edge dispatches one flat closure layer that calls the
-   IMU's direct edge interface and the sync-stage statics, instead of
-   three slots (or nested [Clock.compose] wrappers) each paying their own
-   closure indirections. *)
-let fused_component t ~imu (coproc : Rvi_sim.Clock.component) =
+(* The IMU, the sync stage and the coprocessor share one clock slot at
+   every clock ratio. The IMU and the sync stage tick on every IMU edge;
+   the coprocessor ticks on the edges [c] with [c mod divide = 0], the
+   edges [Clock.add ~divide] gives phase 0. Each edge runs
+   imu;sync_compute;coproc.compute and then imu;sync_commit;coproc.commit,
+   the exact global call order of the three separate registrations, so
+   the compute->commit hazard that forces [commit_hazard] on the
+   standalone sync slot stays inside the slot. The divider reads
+   [Clock.cycles], which survives stop/start and rewinds with
+   [Clock.reset] exactly like the phase of a divided registration.
+
+   Idle windows are counted in IMU edges. The coprocessor's own hint [h]
+   counts its own ticks, so it wakes on its next enabled edge plus
+   [h * divide] edges. A skip of [k] IMU edges from edge [c] covers
+   [ticks (c + k - 1) - ticks (c - 1)] coprocessor ticks, where
+   [ticks n] counts the enabled edges in [0, n]. Fusing is a host-side
+   optimisation, but a load-bearing one: each edge dispatches one flat
+   slot that calls the IMU's direct edge interface and the sync-stage
+   statics, instead of three slots each paying its own closures. *)
+let fused_component t ~imu ~clock ~divide (coproc : Rvi_sim.Clock.component) =
+  if divide < 1 then invalid_arg "Vport.fused_component: divide < 1";
   let name = "imu+" ^ coproc.Rvi_sim.Clock.name ^ "+vport-sync" in
   let ccompute = coproc.Rvi_sim.Clock.compute in
   let ccommit = coproc.Rvi_sim.Clock.commit in
+  (* whether the coprocessor ticks on the current edge; set by compute,
+     read by commit *)
+  let ticks_now = ref true in
   let compute () =
     Rvi_core.Imu.compute imu;
     sync_compute t;
-    ccompute ()
+    let tick =
+      divide = 1 || Rvi_sim.Clock.cycles clock mod divide = 0
+    in
+    ticks_now := tick;
+    if tick then ccompute ()
   in
   let commit () =
     Rvi_core.Imu.commit imu;
     sync_commit t;
-    ccommit ()
+    if !ticks_now then ccommit ()
   in
   match (coproc.Rvi_sim.Clock.idle_hint, coproc.Rvi_sim.Clock.skip) with
   | Some chint, Some cskip ->
+    (* enabled edges in [0, n] *)
+    let ticks n = if n < 0 then 0 else (n / divide) + 1 in
     Rvi_sim.Clock.component ~name
       ~idle_hint:(fun () ->
-        (* min of the three hints, in slot order, bailing at the first
+        (* min of the three wake-ups, in slot order, bailing at the first
            zero — identical window to the separate registrations. *)
         let hi = Rvi_core.Imu.idle_hint imu in
         if hi <= 0 then 0
         else if sync_idle t = 0 then 0
         else
           let hc = chint () in
+          let hc =
+            if divide = 1 then hc
+            else
+              let r = Rvi_sim.Clock.cycles clock mod divide in
+              (* IMU edges until the coprocessor's next enabled edge *)
+              let lead = if r = 0 then 0 else divide - r in
+              if hc <= 0 then lead
+              else if hc >= (max_int - lead) / divide then max_int
+              else lead + (hc * divide)
+          in
           if hc < hi then hc else hi)
       ~skip:(fun k ->
         Rvi_core.Imu.skip imu k;
-        cskip k)
+        if divide = 1 then cskip k
+        else
+          let c = Rvi_sim.Clock.cycles clock in
+          let n = ticks (c + k - 1) - ticks (c - 1) in
+          if n > 0 then cskip n)
       ~compute ~commit ()
   | _ -> Rvi_sim.Clock.component ~name ~compute ~commit ()
 

@@ -26,7 +26,7 @@ let fig7 ?(pipelined = false) ppf () =
   let p =
     Platform.create ~app_name:"fig7" cfg
       ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let kernel = p.Platform.kernel in
   let api = p.Platform.api in
@@ -340,8 +340,9 @@ let ablation_chunked_normal ppf cfg =
     let kernel = Kernel.create ~engine ~cost () in
     let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
     let dport = Rvi_coproc.Dport.create ~dpram in
-    let module M = Rvi_coproc.Idea_coproc.Make (Rvi_coproc.Dport) in
-    let coproc = M.create dport in
+    let coproc =
+      Rvi_coproc.Idea_coproc.create (Rvi_coproc.Port.of_dport dport)
+    in
     let clock =
       Clock.create engine ~name:"pld" ~freq_hz:Calibration.idea_imu_clock_hz
     in
@@ -664,7 +665,7 @@ let miss_curve ppf cfg =
   let p =
     Platform.create ~app_name:"mrc" cfg
       ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:Rvi_coproc.Adpcm_coproc.create
   in
   let collect = Mrc.record p.Platform.imu in
   let in_buf = Platform.alloc_bytes p input in
@@ -841,25 +842,16 @@ let ext_dual_on ppf cfg =
       ~clocks:[ clock ] (Config.vim_config cfg)
   in
   let api = Rvi_core.Api.install ~kernel ~vim ~pld in
-  let arbiter = Rvi_coproc.Arbiter.create ~upstream:port ~children:2 in
-  (* The adpcm child keeps its object ids; the FIR child's are remapped
-     into 2/3/4 by a thin shim, exactly the renumbering the two hardware
+  (* The adpcm child keeps its object ids; the arbiter relocates the FIR
+     child's into 2/3/4, exactly the renumbering the two hardware
      designers would agree on. *)
-  let vport_a = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arbiter 0) in
-  let module MA = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Vport) in
-  let coproc_a = MA.create vport_a in
-  let module Fir_shifted = struct
-    include Rvi_coproc.Vport
-
-    let issue t ~region ~addr ~wr ~width ~data =
-      let region =
-        if region = Rvi_core.Cp_port.param_obj then region else region + 2
-      in
-      issue t ~region ~addr ~wr ~width ~data
-  end in
-  let vport_b = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arbiter 1) in
-  let module MB = Rvi_coproc.Fir_coproc.Make (Fir_shifted) in
-  let coproc_b = MB.create vport_b in
+  let arbiter =
+    Rvi_coproc.Arbiter.create ~obj_base:[| 0; 2 |] ~upstream:port ~children:2 ()
+  in
+  let child i = Rvi_coproc.Vport.create (Rvi_coproc.Arbiter.child_port arbiter i) in
+  let vport_a = child 0 and vport_b = child 1 in
+  let coproc_a = Rvi_coproc.Adpcm_coproc.create (Rvi_coproc.Port.of_vport vport_a) in
+  let coproc_b = Rvi_coproc.Fir_coproc.create (Rvi_coproc.Port.of_vport vport_b) in
   Clock.add clock (Rvi_core.Imu.component imu);
   Clock.add clock (Rvi_coproc.Arbiter.component arbiter);
   Clock.add clock (Rvi_coproc.Vport.sync_component vport_a);
@@ -980,7 +972,7 @@ let ext_oracle ppf cfg =
       Platform.create ~app_name:"oracle" ~sdram_bytes:(1024 * 1024)
         { cfg with Config.policy }
         ~bitstream:Calibration.vecadd_bitstream
-        ~make:Rvi_coproc.Vecadd.Virtual.create
+        ~make:Rvi_coproc.Vecadd.create
     in
     let kernel = p.Platform.kernel and api = p.Platform.api in
     Rvi_core.Imu.set_trace p.Platform.imu

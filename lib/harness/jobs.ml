@@ -21,25 +21,17 @@ let fir_taps = 16
 type spec = {
   label : string;
   bitstream : Rvi_fpga.Bitstream.t;
-  make_virtual :
-    Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t;
-  make_normal : Rvi_coproc.Dport.t -> Rvi_coproc.Coproc.t;
+  create : Rvi_coproc.Port.t -> Rvi_coproc.Coproc.t;
   granule : int;
   min_bytes : int;
   pad : bool;
 }
 
-module Adpcm_normal = Rvi_coproc.Adpcm_coproc.Make (Rvi_coproc.Dport)
-module Idea_normal = Idea_coproc.Make (Rvi_coproc.Dport)
-module Fir_normal = Rvi_coproc.Fir_coproc.Make (Rvi_coproc.Dport)
-module Vecadd_normal = Rvi_coproc.Vecadd.Make (Rvi_coproc.Dport)
-
 let adpcm_spec =
   {
     label = "adpcmdecode";
     bitstream = Calibration.adpcm_bitstream;
-    make_virtual = Rvi_coproc.Adpcm_coproc.Virtual.create;
-    make_normal = Adpcm_normal.create;
+    create = Rvi_coproc.Adpcm_coproc.create;
     granule = 1;
     min_bytes = 1;
     pad = false;
@@ -49,8 +41,7 @@ let idea_spec =
   {
     label = "idea";
     bitstream = Calibration.idea_bitstream;
-    make_virtual = Idea_coproc.Virtual.create;
-    make_normal = Idea_normal.create;
+    create = Idea_coproc.create;
     granule = 8;
     min_bytes = 8;
     pad = true;
@@ -60,8 +51,7 @@ let fir_spec =
   {
     label = "fir";
     bitstream = Calibration.fir_bitstream;
-    make_virtual = Rvi_coproc.Fir_coproc.Virtual.create;
-    make_normal = Fir_normal.create;
+    create = Rvi_coproc.Fir_coproc.create;
     granule = 2;
     (* two taps' worth: at least one output sample *)
     min_bytes = 2 * fir_taps;
@@ -72,8 +62,7 @@ let vecadd_spec =
   {
     label = "vecadd";
     bitstream = Calibration.vecadd_bitstream;
-    make_virtual = Rvi_coproc.Vecadd.Virtual.create;
-    make_normal = Vecadd_normal.create;
+    create = Rvi_coproc.Vecadd.create;
     granule = 8;
     min_bytes = 8;
     pad = false;

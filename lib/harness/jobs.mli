@@ -32,9 +32,8 @@ type spec = {
   label : string;  (** application column of a {!Report.row} *)
   bitstream : Rvi_fpga.Bitstream.t;
       (** clocks the normal coprocessor too: IMU frequency and divide *)
-  make_virtual :
-    Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t;
-  make_normal : Rvi_coproc.Dport.t -> Rvi_coproc.Coproc.t;
+  create : Rvi_coproc.Port.t -> Rvi_coproc.Coproc.t;
+      (** the coprocessor, over a virtual or a direct port *)
   granule : int;  (** input sizes are multiples of this *)
   min_bytes : int;  (** smallest input the coprocessor accepts *)
   pad : bool;

@@ -62,24 +62,19 @@ let station (cfg : Config.t) ~kernel ~dpram ~irq_line ~clock_name
       ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
       (Config.vim_config cfg)
   in
-  let vport, coproc = make port in
+  let vport = Rvi_coproc.Vport.create port in
+  let coproc = make (Rvi_coproc.Port.of_vport vport) in
   Rvi_core.Vim.set_abort_hook vim (fun () ->
       Rvi_core.Cp_port.reset port;
       Rvi_coproc.Vport.reset vport;
       coproc.Rvi_coproc.Coproc.reset ());
-  let divide = bitstream.Rvi_fpga.Bitstream.coproc_divide in
-  if divide = 1 then
-    (* Everything ticks at the IMU rate: collapse the whole pipeline
-       (IMU, bus wrapper, coprocessor) into one slot — identical edge
-       order, one dispatch per edge instead of three. *)
-    Clock.add clock
-      (Rvi_coproc.Vport.fused_component vport ~imu
-         coproc.Rvi_coproc.Coproc.component)
-  else begin
-    Clock.add clock (Rvi_core.Imu.component imu);
-    Clock.add clock (Rvi_coproc.Vport.sync_component vport);
-    Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component
-  end;
+  (* The IMU, the bus wrapper and the coprocessor, at the bit-stream's
+     clock ratio, as one slot: the edge order of three registrations,
+     one dispatch per edge. *)
+  Clock.add clock
+    (Rvi_coproc.Vport.fused_component vport ~imu ~clock
+       ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+       coproc.Rvi_coproc.Coproc.component);
   { port; imu; clock; vim; vport; coproc }
 
 let create ?(app_name = "app") ?(sdram_bytes = 4 * 1024 * 1024) (cfg : Config.t)

@@ -35,14 +35,16 @@ val station :
   irq_line:int ->
   clock_name:string ->
   bitstream:Rvi_fpga.Bitstream.t ->
-  (Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
+  (Rvi_coproc.Port.t -> Rvi_coproc.Coproc.t) ->
   station
 (** Builds one station: the IMU (with the configuration's injector)
     raising [irq_line], the clock at the bit-stream's IMU
-    frequency, the VIM, and the coprocessor made by the last argument,
-    whose reset the VIM's abort hook drives. Components are registered
-    on the clock in hardware order: IMU, port synchroniser, coprocessor
-    (on the bit-stream's divided clock). *)
+    frequency, the VIM, and the coprocessor made by the last argument
+    over the station's virtual port, whose reset the VIM's abort hook
+    drives. The clock gets a single slot at every clock ratio
+    ({!Rvi_coproc.Vport.fused_component}): IMU, port synchroniser and
+    coprocessor (ticking on the bit-stream's divided clock), in that
+    hardware order. *)
 
 (** {1 Platforms} *)
 
@@ -66,7 +68,7 @@ val create :
   ?sdram_bytes:int ->
   Config.t ->
   bitstream:Rvi_fpga.Bitstream.t ->
-  make:(Rvi_core.Cp_port.t -> Rvi_coproc.Vport.t * Rvi_coproc.Coproc.t) ->
+  make:(Rvi_coproc.Port.t -> Rvi_coproc.Coproc.t) ->
   t
 (** {!attach} plus one {!station} on interrupt line 0, the syscall API
     and the application process. *)

@@ -234,7 +234,7 @@ let run_virtual ?pool ?inspect (cfg : Config.t) input =
   let app = spec.Jobs.label in
   let create () =
     Platform.create ~app_name:app cfg ~bitstream:spec.Jobs.bitstream
-      ~make:spec.Jobs.make_virtual
+      ~make:spec.Jobs.create
   in
   let p =
     match pool with
@@ -257,7 +257,7 @@ let run_normal (cfg : Config.t) input =
   let _engine, kernel = make_kernel cfg in
   let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
   let dport = Rvi_coproc.Dport.create ~dpram in
-  let coproc = spec.Jobs.make_normal dport in
+  let coproc = spec.Jobs.create (Rvi_coproc.Port.of_dport dport) in
   let clock =
     Clock.create (Kernel.engine kernel) ~name:"pld"
       ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz

@@ -19,42 +19,6 @@ let component ?idle_hint ?skip ?(commit_hazard = false) ~name ~compute ~commit
   | Some _, Some _ | None, None -> ());
   { name; compute; commit; idle_hint; skip; commit_hazard }
 
-(* Two same-rate components registered back to back can share one slot:
-   the composite runs [a]'s phase before [b]'s in both halves of the edge,
-   which is exactly the global order separate registration would produce.
-   Idle windows compose as the min of the hints; a skip is forwarded to
-   both. When the composite executes an edge on which one side would have
-   been elided, that side's [compute]/[commit] run instead of its [skip 1]
-   — the idle-hint contract (a positive hint promises the tick changes
-   nothing, counters included) makes the two indistinguishable. Composing
-   is a pure host-side optimisation: fewer slots means fewer closure
-   dispatches per edge. *)
-let compose a b =
-  let name = a.name ^ "+" ^ b.name in
-  let compute () =
-    a.compute ();
-    b.compute ()
-  in
-  let commit () =
-    a.commit ();
-    b.commit ()
-  in
-  let commit_hazard = a.commit_hazard || b.commit_hazard in
-  match (a.idle_hint, a.skip, b.idle_hint, b.skip) with
-  | Some ha, Some sa, Some hb, Some sb ->
-    component ~name ~commit_hazard
-      ~idle_hint:(fun () ->
-        let x = ha () in
-        if x <= 0 then 0
-        else
-          let y = hb () in
-          if x < y then x else y)
-      ~skip:(fun k ->
-        sa k;
-        sb k)
-      ~compute ~commit ()
-  | _ -> component ~name ~commit_hazard ~compute ~commit ()
-
 type slot = { comp : component; divide : int; phase : int }
 
 type t = {
@@ -300,8 +264,8 @@ let rec batch t gen self =
   end
 
 (* Specialised inline loop for the dominant configuration — one uniform,
-   skippable slot (see [compose]) and no observers. Behaviourally
-   identical to [batch]: same edge order, same skip accounting, same
+   skippable slot (every platform station is one, whatever its clock
+   ratio) and no observers. Behaviourally identical to [batch]: same edge order, same skip accounting, same
    horizon/queue scheduling boundaries. The differences are host-side
    only: the slot's hint is evaluated once per edge (not once in
    [run_edge] and again in [plan_skip]), there is no marks array, and an

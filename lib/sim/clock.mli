@@ -70,16 +70,6 @@ val component :
     hazard-free slots elide the whole tick on the compute-turn hint
     alone. *)
 
-val compose : component -> component -> component
-(** [compose a b] is one component behaving exactly like [a] and [b]
-    registered back to back on the same clock at the same rate: [a]'s
-    compute/commit/skip always run before [b]'s, the composite idle hint
-    is the min of the two, and a skip is forwarded to both. On an edge
-    where only one side has work the other side's [compute]/[commit] run
-    instead of its [skip 1] — indistinguishable by the idle-hint
-    contract. Use it to collapse tightly-coupled pipelines (IMU and
-    coprocessor wrapper) into a single slot and halve per-edge dispatch. *)
-
 type t
 
 val create : ?batched:bool -> Engine.t -> name:string -> freq_hz:int -> t

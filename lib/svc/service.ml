@@ -151,7 +151,7 @@ let make_station (cfg : Config.t) ~kernel ~dpram kind =
   let (s : Platform.station) =
     Platform.station cfg ~kernel ~dpram ~irq_line:(Jobs.index kind)
       ~clock_name:(name ^ "-pld") ~bitstream:spec.Jobs.bitstream
-      spec.Jobs.make_virtual
+      spec.Jobs.create
   in
   {
     st_index = Jobs.index kind;

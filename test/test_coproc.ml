@@ -249,7 +249,7 @@ let run_direct ~clock_hz ~divide ~make ~regions ~params ~watchdog_ms =
   let kernel = Rvi_os.Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
   let dpram = Rvi_mem.Dpram.create geom in
   let dport = Dport.create ~dpram in
-  let coproc = make dport in
+  let coproc = make (Rvi_coproc.Port.of_dport dport) in
   let clock = Clock.create engine ~name:"c" ~freq_hz:clock_hz in
   Clock.add clock ~divide coproc.Rvi_coproc.Coproc.component;
   let specs =
@@ -277,7 +277,6 @@ let run_direct ~clock_hz ~divide ~make ~regions ~params ~watchdog_ms =
   (result, read)
 
 let test_vecadd_coproc_direct () =
-  let module M = Rvi_coproc.Vecadd.Make (Dport) in
   let n = 50 in
   let a, b = Rvi_harness.Workload.vectors ~seed:3 ~n in
   let to_bytes words =
@@ -291,7 +290,7 @@ let test_vecadd_coproc_direct () =
     bts
   in
   let result, read =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Vecadd.create
       ~regions:
         [
           (0, Some (to_bytes a), 4 * n, Rvi_core.Mapped_object.In);
@@ -306,10 +305,9 @@ let test_vecadd_coproc_direct () =
     (read 2)
 
 let test_adpcm_coproc_direct () =
-  let module M = Rvi_coproc.Adpcm_coproc.Make (Dport) in
   let input = Rvi_harness.Workload.adpcm_stream ~seed:4 ~bytes:1024 in
   let result, read =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Adpcm_coproc.create
       ~regions:
         [
           (0, Some input, Bytes.length input, Rvi_core.Mapped_object.In);
@@ -321,11 +319,10 @@ let test_adpcm_coproc_direct () =
   check_bytes "bit-exact against reference" (Adpcm.decode input) (read 1)
 
 let test_idea_coproc_direct () =
-  let module M = Rvi_coproc.Idea_coproc.Make (Dport) in
   let key = Rvi_harness.Workload.idea_key ~seed:5 in
   let input = Rvi_harness.Workload.idea_plaintext ~seed:5 ~bytes:2048 in
   let result, read =
-    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M.create
+    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
       ~regions:
         [
           (0, Some input, Bytes.length input, Rvi_core.Mapped_object.In);
@@ -343,12 +340,11 @@ let test_idea_coproc_direct () =
     (read 1)
 
 let test_idea_coproc_decrypt_direct () =
-  let module M = Rvi_coproc.Idea_coproc.Make (Dport) in
   let key = Rvi_harness.Workload.idea_key ~seed:6 in
   let plain = Rvi_harness.Workload.idea_plaintext ~seed:6 ~bytes:512 in
   let ct = Idea.ecb ~key ~decrypt:false plain in
   let result, read =
-    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M.create
+    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
       ~regions:
         [
           (0, Some ct, Bytes.length ct, Rvi_core.Mapped_object.In);
@@ -365,9 +361,8 @@ let test_idea_coproc_decrypt_direct () =
 (* {1 Normal driver} *)
 
 let test_normal_driver_exceeds () =
-  let module M = Rvi_coproc.Vecadd.Make (Dport) in
   let result, _ =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Vecadd.create
       ~regions:
         [
           (0, None, 8 * 1024, Rvi_core.Mapped_object.In);
@@ -401,6 +396,80 @@ let test_normal_driver_watchdog () =
   in
   checkb "watchdog fired" true (result = Error Rvi_coproc.Normal_driver.Hardware_stall)
 
+(* {1 The direct port allocates nothing per access}
+
+   A posted request and a request in flight are flat fields behind valid
+   bits, not [request option]s, and a completing access looks its window
+   up without boxing it, so a warm run over the direct port makes no heap
+   block per access. Starting and stopping a run still allocates a few
+   dozen words (the clock's edge closure, the run loop, ADPCM's fresh
+   predictor state), so the property compares a run with a run of twice
+   the work: the extra words over the extra accesses is the per-access
+   cost. An option-of-record request costs at least eight words. *)
+
+let direct_words_per_access ~make ~regions ~params =
+  let engine = Engine.create () in
+  let dpram = Rvi_mem.Dpram.create geom in
+  let dport = Dport.create ~dpram in
+  let coproc = make (Rvi_coproc.Port.of_dport dport) in
+  let clock = Clock.create engine ~name:"c" ~freq_hz:40_000_000 in
+  Clock.add clock coproc.Rvi_coproc.Coproc.component;
+  ignore
+    (List.fold_left
+       (fun base (region, data) ->
+         Dport.set_region dport ~region ~base ~size:(Bytes.length data);
+         Bytes.iteri
+           (fun i c -> Rvi_mem.Dpram.write dpram ~width:8 (base + i) (Char.code c))
+           data;
+         base + Bytes.length data)
+       0 regions);
+  let run scale =
+    Dport.set_params dport (params scale);
+    coproc.Rvi_coproc.Coproc.reset ();
+    Dport.assert_start dport;
+    Clock.start clock;
+    Engine.run_while
+      ~horizon:(Simtime.add (Engine.now engine) (Simtime.of_ms 10))
+      engine (fun () -> not (coproc.Rvi_coproc.Coproc.finished ()));
+    Clock.stop clock
+  in
+  (* words and accesses of a warm run *)
+  let measure scale =
+    run scale;
+    let a0 = Dport.accesses dport in
+    let w0 = Gc.minor_words () in
+    run scale;
+    let words = Gc.minor_words () -. w0 in
+    (words, Dport.accesses dport - a0)
+  in
+  let w1, a1 = measure 1 in
+  let w2, a2 = measure 2 in
+  (w2 -. w1) /. float_of_int (a2 - a1)
+
+let test_dport_alloc () =
+  let input = Rvi_harness.Workload.adpcm_stream ~seed:4 ~bytes:1024 in
+  let adpcm =
+    direct_words_per_access ~make:Rvi_coproc.Adpcm_coproc.create
+      ~regions:[ (0, input); (1, Bytes.make (Adpcm.decoded_size 1024) '\000') ]
+      ~params:(fun k -> [ 512 * k ])
+  in
+  let n = 256 in
+  let vecadd =
+    direct_words_per_access ~make:Rvi_coproc.Vecadd.create
+      ~regions:
+        [
+          (0, Bytes.make (4 * n) '\001');
+          (1, Bytes.make (4 * n) '\002');
+          (2, Bytes.make (4 * n) '\000');
+        ]
+      ~params:(fun k -> [ 128 * k ])
+  in
+  List.iter
+    (fun (name, w) ->
+      if w <> 0.0 then
+        Alcotest.failf "%s: %.3f minor words per direct-port access" name w)
+    [ ("adpcm", adpcm); ("vecadd", vecadd) ]
+
 let suite =
   [
     Alcotest.test_case "adpcm/tables" `Quick test_adpcm_tables;
@@ -422,6 +491,7 @@ let suite =
     Alcotest.test_case "dport/basic" `Quick test_dport_basic;
     Alcotest.test_case "dport/bounds" `Quick test_dport_bounds;
     Alcotest.test_case "dport/start-finish" `Quick test_dport_start_finish;
+    Alcotest.test_case "dport/alloc-free-access" `Quick test_dport_alloc;
     Alcotest.test_case "vecadd/coproc-direct" `Quick test_vecadd_coproc_direct;
     Alcotest.test_case "adpcm/coproc-direct" `Quick test_adpcm_coproc_direct;
     Alcotest.test_case "idea/coproc-direct" `Quick test_idea_coproc_direct;
@@ -515,7 +585,6 @@ let prop_fir_bytes_consistent =
         direct)
 
 let test_fir_coproc_direct () =
-  let module M = Rvi_coproc.Fir_coproc.Make (Dport) in
   let coeffs = Fir.lowpass ~taps:12 ~cutoff:0.2 in
   let input = Rvi_harness.Workload.fir_signal ~seed:8 ~bytes:2048 in
   let taps = Array.length coeffs in
@@ -531,7 +600,7 @@ let test_fir_coproc_direct () =
   in
   let n_out = (Bytes.length input / 2) - taps + 1 in
   let result, read =
-    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:M.create
+    run_direct ~clock_hz:40_000_000 ~divide:1 ~make:Rvi_coproc.Fir_coproc.create
       ~regions:
         [
           (0, Some input, Bytes.length input, Rvi_core.Mapped_object.In);
@@ -593,13 +662,12 @@ let prop_idea_cbc_roundtrip =
       Bytes.equal (Idea.cbc ~key ~decrypt:true ~iv ct) plain)
 
 let test_idea_cbc_coproc_direct () =
-  let module M = Rvi_coproc.Idea_coproc.Make (Dport) in
   let key = Rvi_harness.Workload.idea_key ~seed:77 in
   let iv = [| 0xAAAA; 0xBBBB; 0xCCCC; 0xDDDD |] in
   let plain = Rvi_harness.Workload.idea_plaintext ~seed:77 ~bytes:1024 in
   let run mode expected =
     let result, read =
-      run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M.create
+      run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
         ~regions:
           [
             (0, Some plain, Bytes.length plain, Rvi_core.Mapped_object.In);
@@ -618,9 +686,8 @@ let test_idea_cbc_coproc_direct () =
   in
   run Rvi_coproc.Idea_coproc.Cbc_encrypt (Idea.cbc ~key ~decrypt:false ~iv plain);
   let ct = Idea.cbc ~key ~decrypt:false ~iv plain in
-  let module M2 = Rvi_coproc.Idea_coproc.Make (Dport) in
   let result, read =
-    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:M2.create
+    run_direct ~clock_hz:24_000_000 ~divide:4 ~make:Rvi_coproc.Idea_coproc.create
       ~regions:
         [
           (0, Some ct, Bytes.length ct, Rvi_core.Mapped_object.In);
@@ -659,7 +726,7 @@ let suite = suite @ cbc_suite
 
 let test_arbiter_basics () =
   let upstream = Cp_port.create () in
-  let arb = Rvi_coproc.Arbiter.create ~upstream ~children:2 in
+  let arb = Rvi_coproc.Arbiter.create ~upstream ~children:2 () in
   checkb "distinct child ports" true
     (Rvi_coproc.Arbiter.child_port arb 0 != Rvi_coproc.Arbiter.child_port arb 1);
   Alcotest.check_raises "child range"
@@ -667,7 +734,7 @@ let test_arbiter_basics () =
       ignore (Rvi_coproc.Arbiter.child_port arb 2));
   Alcotest.check_raises "children range"
     (Invalid_argument "Arbiter.create: children out of [1, 4]") (fun () ->
-      ignore (Rvi_coproc.Arbiter.create ~upstream ~children:5))
+      ignore (Rvi_coproc.Arbiter.create ~upstream ~children:5 ()))
 
 let test_arbiter_forwards_and_relocates () =
   (* Drive the arbiter open-loop for a few cycles: child 1's parameter read
@@ -676,7 +743,7 @@ let test_arbiter_forwards_and_relocates () =
   let engine = Engine.create () in
   let clock = Clock.create engine ~name:"c" ~freq_hz:1_000_000 in
   let upstream = Cp_port.create () in
-  let arb = Rvi_coproc.Arbiter.create ~upstream ~children:2 in
+  let arb = Rvi_coproc.Arbiter.create ~upstream ~children:2 () in
   Clock.add clock (Rvi_coproc.Arbiter.component arb);
   let p0 = Rvi_coproc.Arbiter.child_port arb 0 in
   let p1 = Rvi_coproc.Arbiter.child_port arb 1 in
@@ -714,7 +781,7 @@ let test_arbiter_fin_conjunction () =
   let engine = Engine.create () in
   let clock = Clock.create engine ~name:"c" ~freq_hz:1_000_000 in
   let upstream = Cp_port.create () in
-  let arb = Rvi_coproc.Arbiter.create ~upstream ~children:2 in
+  let arb = Rvi_coproc.Arbiter.create ~upstream ~children:2 () in
   Clock.add clock (Rvi_coproc.Arbiter.component arb);
   let p0 = Rvi_coproc.Arbiter.child_port arb 0 in
   let p1 = Rvi_coproc.Arbiter.child_port arb 1 in
@@ -747,14 +814,13 @@ let suite = suite @ arbiter_suite
    chunk boundaries. Pin the claim. *)
 
 let test_chunked_adpcm_is_wrong () =
-  let module M = Rvi_coproc.Adpcm_coproc.Make (Dport) in
   let input = Rvi_harness.Workload.adpcm_stream ~seed:90 ~bytes:2048 in
   let engine = Engine.create () in
   let cost = Rvi_os.Cost_model.default ~cpu_freq_hz:133_000_000 in
   let kernel = Rvi_os.Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
   let dpram = Rvi_mem.Dpram.create geom in
   let dport = Dport.create ~dpram in
-  let coproc = M.create dport in
+  let coproc = Rvi_coproc.Adpcm_coproc.create (Rvi_coproc.Port.of_dport dport) in
   let clock = Clock.create engine ~name:"c" ~freq_hz:40_000_000 in
   Clock.add clock coproc.Rvi_coproc.Coproc.component;
   let in_buf = Rvi_os.Uspace.of_bytes kernel input in

@@ -708,7 +708,7 @@ let test_vhdl_testbench () =
   let p =
     Rvi_harness.Platform.create (Rvi_harness.Config.default ())
       ~bitstream:Rvi_harness.Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let wave = Rvi_harness.Platform.trace p in
   let a, b = Rvi_harness.Workload.vectors ~seed:9 ~n:4 in

@@ -138,7 +138,7 @@ let test_reexecution () =
   let p =
     Platform.create ~app_name:"re" (cfg ())
       ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let n = 100 in
   let to_bytes words =
@@ -179,7 +179,7 @@ let test_reexecution () =
 let test_api_unmapped_object () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let buf = Platform.alloc p 400 in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
@@ -195,7 +195,7 @@ let test_api_unmapped_object () =
 let test_api_object_overflow () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let n = 1024 in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
@@ -214,7 +214,7 @@ let test_api_object_overflow () =
 let test_api_execute_without_load () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   match Api.fpga_execute p.Platform.api ~params:[ 1 ] with
   | Error Rvi_os.Syscall.EINVAL -> ()
@@ -224,7 +224,7 @@ let test_api_execute_without_load () =
 let test_api_duplicate_map () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let buf = Platform.alloc p 64 in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
@@ -237,7 +237,7 @@ let test_api_duplicate_map () =
 let test_api_oversized_bitstream () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let monster =
     Rvi_fpga.Bitstream.make ~name:"monster" ~logic_elements:1_000_000
@@ -251,7 +251,7 @@ let test_api_oversized_bitstream () =
 let test_api_unload () =
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   let ok = function Ok () -> () | Error _ -> Alcotest.fail "setup failed" in
   ok (Api.fpga_load p.Platform.api Calibration.vecadd_bitstream);
@@ -564,7 +564,7 @@ let test_trace_recording () =
   let input = Workload.adpcm_stream ~seed:44 ~bytes:2048 in
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:Rvi_coproc.Adpcm_coproc.create
   in
   let collect = Rvi_harness.Mrc.record p.Platform.imu in
   let in_buf = Platform.alloc_bytes p input in
@@ -734,7 +734,7 @@ let test_corruption_detected () =
      column in this repository would be vacuous. *)
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:Rvi_coproc.Adpcm_coproc.create
   in
   let input = Workload.adpcm_stream ~seed:80 ~bytes:2048 in
   let in_buf = Platform.alloc_bytes p input in
@@ -881,7 +881,7 @@ let prop_syscall_fuzz =
       let prng = Rvi_sim.Prng.create ~seed in
       let p =
         Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
-          ~make:Rvi_coproc.Vecadd.Virtual.create
+          ~make:Rvi_coproc.Vecadd.create
       in
       let kernel = p.Platform.kernel in
       let numbers =
@@ -1292,7 +1292,7 @@ let execute_words_per_event kind =
     let p =
       Platform.Pool.acquire pool ~key:spec.Jobs.label cfg ~create:(fun () ->
           Platform.create ~app_name:spec.Jobs.label cfg
-            ~bitstream:spec.Jobs.bitstream ~make:spec.Jobs.make_virtual)
+            ~bitstream:spec.Jobs.bitstream ~make:spec.Jobs.create)
     in
     let api = p.Platform.api in
     let bufs = Jobs.alloc p.Platform.kernel (Jobs.objects input) in
@@ -1341,3 +1341,155 @@ let test_edge_path_alloc () =
 
 let suite =
   suite @ [ Alcotest.test_case "alloc/edge-path" `Quick test_edge_path_alloc ]
+
+(* {1 One slot per station}
+
+   [Platform.station] registers the IMU, the port synchroniser and the
+   coprocessor as one fused clock slot at every clock ratio. The fused
+   slot must be indistinguishable from the three registrations it
+   replaces — the IMU and the synchroniser on every edge, the
+   coprocessor with [Clock.add ~divide] — down to the cycle of every
+   latched access, with and without injected faults. *)
+
+(* [Platform.create] with the station wired as three clock slots. *)
+let three_slot_platform cfg ~bitstream ~make =
+  let module Device = Rvi_fpga.Device in
+  let module Kernel = Rvi_os.Kernel in
+  let module Clock = Rvi_sim.Clock in
+  let engine = Rvi_sim.Engine.create () in
+  let cost =
+    Rvi_os.Cost_model.default ~cpu_freq_hz:cfg.Config.device.Device.cpu_freq_hz
+  in
+  let kernel = Kernel.create ~engine ~cost ~sdram_bytes:(4 * 1024 * 1024) () in
+  let dpram = Rvi_mem.Dpram.create (Device.geometry cfg.Config.device) in
+  let pld = Rvi_fpga.Pld.create cfg.Config.device in
+  Platform.attach cfg ~kernel ~dpram;
+  let port = Rvi_core.Cp_port.create () in
+  let imu =
+    Rvi_core.Imu.create ~config:(Config.imu_config cfg) ~port ~dpram
+      ~raise_irq:(fun () ->
+        Rvi_os.Irq.raise_line (Kernel.irq kernel) ~line:0)
+      ()
+  in
+  Rvi_core.Imu.set_injector imu cfg.Config.injector;
+  let clock =
+    Clock.create engine ~name:"pld"
+      ~freq_hz:bitstream.Rvi_fpga.Bitstream.imu_freq_hz
+  in
+  let vim =
+    Rvi_core.Vim.create ~irq_line:0 ~kernel ~dpram ~imu
+      ~ahb:cfg.Config.device.Device.ahb ~clocks:[ clock ]
+      (Config.vim_config cfg)
+  in
+  let vport = Rvi_coproc.Vport.create port in
+  let coproc = make (Rvi_coproc.Port.of_vport vport) in
+  Rvi_core.Vim.set_abort_hook vim (fun () ->
+      Rvi_core.Cp_port.reset port;
+      Rvi_coproc.Vport.reset vport;
+      coproc.Rvi_coproc.Coproc.reset ());
+  Clock.add clock (Rvi_core.Imu.component imu);
+  Clock.add clock (Rvi_coproc.Vport.sync_component vport);
+  Clock.add clock ~divide:bitstream.Rvi_fpga.Bitstream.coproc_divide
+    coproc.Rvi_coproc.Coproc.component;
+  let api = Api.install ~kernel ~vim ~pld in
+  let sched = Kernel.sched kernel in
+  let proc = Rvi_os.Sched.spawn sched ~name:"app" in
+  ignore (Rvi_os.Sched.schedule sched);
+  {
+    Platform.engine;
+    kernel;
+    dpram;
+    pld;
+    port;
+    imu;
+    clock;
+    vim;
+    api;
+    vport;
+    coproc;
+    proc;
+  }
+
+type station_run = {
+  results : (unit, Rvi_os.Syscall.errno) result list;
+      (* FPGA_LOAD, each FPGA_MAP_OBJECT, FPGA_EXECUTE *)
+  accesses : Rvi_core.Imu.access_event list;
+  now_ps : int;
+  cycles : int;
+  imu_counters : (string * int) list;
+  coproc_counters : (string * int) list;
+  outputs : string list;
+}
+
+let run_station (p : Platform.t) ~bitstream input =
+  let module Jobs = Rvi_harness.Jobs in
+  let log = ref [] in
+  Rvi_core.Imu.set_trace p.Platform.imu (Some (fun e -> log := e :: !log));
+  let api = p.Platform.api in
+  let bufs = Jobs.alloc p.Platform.kernel (Jobs.objects input) in
+  let load = Api.fpga_load api bitstream in
+  let maps =
+    List.map
+      (fun ((o : Jobs.obj), buf) ->
+        Api.fpga_map_object api ~id:o.Jobs.id ~buf ~dir:o.Jobs.dir
+          ~stream:o.Jobs.stream ())
+      bufs
+  in
+  let exec = Api.fpga_execute api ~params:(Jobs.params input) in
+  {
+    results = (load :: maps) @ [ exec ];
+    accesses = List.rev !log;
+    now_ps = Simtime.to_ps (Rvi_sim.Engine.now p.Platform.engine);
+    cycles = Rvi_sim.Clock.cycles p.Platform.clock;
+    imu_counters = Rvi_sim.Stats.counters (Rvi_core.Imu.stats p.Platform.imu);
+    coproc_counters =
+      Rvi_sim.Stats.counters p.Platform.coproc.Rvi_coproc.Coproc.stats;
+    outputs =
+      List.map (fun (_, buf) -> Bytes.to_string (Platform.read p buf)) bufs;
+  }
+
+let prop_fused_station =
+  QCheck.Test.make ~name:"a fused station equals its three clock slots"
+    ~count:60
+    QCheck.(
+      quad (int_bound 3) (int_range 1 5) (int_range 8 640)
+        (pair (int_bound 10_000) bool))
+    (fun (kind_index, divide, bytes, (seed, inject)) ->
+      let module Jobs = Rvi_harness.Jobs in
+      let kind = List.nth Jobs.all kind_index in
+      let spec = Jobs.spec kind in
+      let b = spec.Jobs.bitstream in
+      let bitstream =
+        Rvi_fpga.Bitstream.make ~name:b.Rvi_fpga.Bitstream.name
+          ~logic_elements:b.Rvi_fpga.Bitstream.logic_elements
+          ~imu_freq_hz:b.Rvi_fpga.Bitstream.imu_freq_hz ~coproc_divide:divide
+          ~param_words:b.Rvi_fpga.Bitstream.param_words ()
+      in
+      let input = Jobs.generate kind ~seed ~bytes in
+      (* each platform gets its own injector on the same seed *)
+      let cfg () =
+        if inject then
+          {
+            (Config.default ()) with
+            Config.injector =
+              Some
+                (Rvi_inject.Injector.create ~seed
+                   ~spec:(Rvi_inject.Spec.all ()));
+            watchdog = Simtime.of_ms 10;
+          }
+        else Config.default ()
+      in
+      let run p =
+        match run_station p ~bitstream input with
+        | r -> Ok r
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let fused =
+        run (Platform.create (cfg ()) ~bitstream ~make:spec.Jobs.create)
+      in
+      let three =
+        run (three_slot_platform (cfg ()) ~bitstream ~make:spec.Jobs.create)
+      in
+      fused = three)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_fused_station ]

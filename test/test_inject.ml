@@ -192,7 +192,7 @@ let injected_platform ~spec ~seed ~watchdog =
   let p =
     Platform.create ~app_name:"injtest" cfg
       ~bitstream:Calibration.vecadd_bitstream
-      ~make:Rvi_coproc.Vecadd.Virtual.create
+      ~make:Rvi_coproc.Vecadd.create
   in
   (p, inj)
 

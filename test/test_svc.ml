@@ -399,7 +399,7 @@ let preemption_soundness translation () =
   let p =
     Platform.create ~app_name:"svc-preempt" cfg
       ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:Rvi_coproc.Adpcm_coproc.create
   in
   (* Unpreempted reference run, and the cycle count to sweep. *)
   let session, out_buf = adpcm_setup p in
@@ -532,7 +532,7 @@ let test_watchdog_budget_survives_preemption () =
   let p =
     Platform.create ~app_name:"svc-livelock" cfg
       ~bitstream:Calibration.adpcm_bitstream
-      ~make:Rvi_coproc.Adpcm_coproc.Virtual.create
+      ~make:Rvi_coproc.Adpcm_coproc.create
   in
   let session, _ = adpcm_setup p in
   let quantum = Simtime.of_us 50 in

@@ -23,7 +23,7 @@ let cfg () = Config.default ()
 let vecadd_platform ?(cfg = cfg ()) () =
   Platform.create ~app_name:"vimtest" cfg
     ~bitstream:Calibration.vecadd_bitstream
-    ~make:Rvi_coproc.Vecadd.Virtual.create
+    ~make:Rvi_coproc.Vecadd.create
 
 let to_bytes words =
   let b = Bytes.create (4 * Array.length words) in
@@ -135,15 +135,17 @@ let test_transfer_factor () =
    The same coprocessor FSM runs behind the virtual port (through IMU,
    TLB, VIM, page faults) and behind the direct physical port. For random
    access scripts the data read and the memory effects must be identical.
-   This is the module-system enforcement of §2's portability goal, checked
-   dynamically. *)
+   The abstract port type enforces §2's portability goal statically (the
+   FSM cannot tell the two ports apart); this checks it dynamically. *)
 
-module Script_coproc (P : Rvi_coproc.Mem_port.S) = struct
+module Script_coproc = struct
+  module Port = Rvi_coproc.Port
+
   (* Replays a list of accesses: (region, addr, width, write?, data). *)
   type action = int * int * Cp_port.width * bool * int
 
   type m = {
-    port : P.t;
+    port : Port.t;
     script : action array;
     mutable index : int;
     mutable started : bool;
@@ -152,22 +154,22 @@ module Script_coproc (P : Rvi_coproc.Mem_port.S) = struct
   }
 
   let compute m =
-    P.sample m.port;
-    if (not m.started) && P.start_seen m.port then m.started <- true;
+    Port.sample m.port;
+    if (not m.started) && Port.start_seen m.port then m.started <- true;
     if m.started then
       if m.waiting then begin
-        if P.ready m.port then begin
+        if Port.ready m.port then begin
           let region, _, _, wr, _ = m.script.(m.index) in
           ignore region;
-          if not wr then Queue.push (m.index, P.data m.port) m.reads;
+          if not wr then Queue.push (m.index, Port.data m.port) m.reads;
           m.index <- m.index + 1;
           m.waiting <- false;
-          if m.index >= Array.length m.script then P.finish m.port
+          if m.index >= Array.length m.script then Port.finish m.port
         end
       end
-      else if m.index < Array.length m.script && not (P.busy m.port) then begin
+      else if m.index < Array.length m.script && not (Port.busy m.port) then begin
         let region, addr, width, wr, data = m.script.(m.index) in
-        P.issue m.port ~region ~addr ~wr ~width ~data;
+        Port.issue m.port ~region ~addr ~wr ~width ~data;
         m.waiting <- true
       end
 
@@ -188,7 +190,7 @@ module Script_coproc (P : Rvi_coproc.Mem_port.S) = struct
         component =
           Clock.component ~name:"script"
             ~compute:(fun () -> compute m)
-            ~commit:(fun () -> P.commit m.port)
+            ~commit:(fun () -> Port.commit m.port)
             ();
         finished = (fun () -> m.index >= Array.length m.script);
         reset = ignore;
@@ -213,15 +215,13 @@ let random_script prng ~obj_bytes ~n =
       (region, addr, width, wr, data))
 
 let run_script_virtual script ~obj_bytes ~init0 ~init1 =
-  let module SC = Script_coproc (Rvi_coproc.Vport) in
   let made = ref None in
   let p =
     Platform.create (cfg ()) ~bitstream:Calibration.vecadd_bitstream
       ~make:(fun port ->
-        let vport = Rvi_coproc.Vport.create port in
-        let m, coproc = SC.create vport script in
+        let m, coproc = Script_coproc.create port script in
         made := Some m;
-        (vport, coproc))
+        coproc)
   in
   let m = Option.get !made in
   let buf0 = Platform.alloc_bytes p init0 in
@@ -240,7 +240,6 @@ let run_script_virtual script ~obj_bytes ~init0 ~init1 =
   (reads, Platform.read p buf1)
 
 let run_script_direct script ~obj_bytes ~init0 ~init1 =
-  let module SC = Script_coproc (Rvi_coproc.Dport) in
   let engine = Engine.create () in
   let cost = Rvi_os.Cost_model.default ~cpu_freq_hz:133_000_000 in
   let kernel = Rvi_os.Kernel.create ~engine ~cost ~sdram_bytes:(1024 * 1024) () in
@@ -248,7 +247,7 @@ let run_script_direct script ~obj_bytes ~init0 ~init1 =
     Rvi_mem.Dpram.create (Rvi_fpga.Device.geometry Rvi_fpga.Device.epxa1)
   in
   let dport = Rvi_coproc.Dport.create ~dpram in
-  let m, coproc = SC.create dport script in
+  let m, coproc = Script_coproc.create (Rvi_coproc.Port.of_dport dport) script in
   let clock = Clock.create engine ~name:"c" ~freq_hz:40_000_000 in
   Clock.add clock ~divide:1 coproc.Rvi_coproc.Coproc.component;
   let buf0 = Rvi_os.Uspace.of_bytes kernel init0 in
